@@ -36,7 +36,6 @@ from .exec import (
     PersistentWorkerPool,
     decomposed_s_repair,
     decomposed_u_repair,
-    map_components,
 )
 from .pipeline import CleaningResult, DirtinessReport, assess, clean
 from .session import RepairSession, SessionStats
@@ -53,5 +52,4 @@ __all__ = list(_core_all) + [
     "clean",
     "decomposed_s_repair",
     "decomposed_u_repair",
-    "map_components",
 ]

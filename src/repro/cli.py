@@ -191,10 +191,11 @@ def _add_shard_options(parser: argparse.ArgumentParser) -> None:
         default=0,
         help=(
             "solve conflict components on N shard host subprocesses "
-            "(consistent-hash routing, per-RPC deadlines with retry, "
-            "heartbeat failover, journal-replay respawn; results are "
-            "byte-identical to local execution, which the executor "
-            "degrades to when shards are exhausted)"
+            "(the supervised executor on its stdio transport: pull "
+            "dispatch, per-RPC deadlines with retry, heartbeat failover, "
+            "mirror-replay respawn; results are byte-identical to local "
+            "execution, which the executor degrades to when shards are "
+            "exhausted)"
         ),
     )
     parser.add_argument(
@@ -316,11 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srepair = sub.add_parser("s-repair", help="compute an S-repair")
     p_srepair.add_argument("table", help="CSV file (id,<attrs...>,weight)")
     p_srepair.add_argument("fds", help="FD set string")
-    p_srepair.add_argument(
-        "--approx",
-        action="store_true",
-        help="deprecated alias for --guarantee fast",
-    )
     _add_repair_options(p_srepair)
     _add_shard_options(p_srepair)
 
@@ -721,11 +717,6 @@ def _run_clean(args: argparse.Namespace, strategy: str) -> CleaningResult:
     _apply_kernel_choice(args)
     table = table_from_csv(args.table)
     fds = parse_fd_set(args.fds)
-    guarantee = args.guarantee
-    # The deprecated --approx alias must not override an explicit
-    # --guarantee choice; it only strengthens the default.
-    if getattr(args, "approx", False) and guarantee == "best":
-        guarantee = "fast"
     recorder = _recorder_for(args)
     executor = _shard_executor_for(args)
     try:
@@ -733,7 +724,7 @@ def _run_clean(args: argparse.Namespace, strategy: str) -> CleaningResult:
             table,
             fds,
             strategy=strategy,
-            guarantee=guarantee,
+            guarantee=args.guarantee,
             decomposed=args.decomposed,
             parallel=args.parallel,
             exact_threshold=args.exact_threshold,
@@ -953,6 +944,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .server import RepairServer, ServerConfig, SessionManager
+    from .state import JournalCorruptError
 
     _apply_kernel_choice(args)
     config = ServerConfig(
@@ -974,7 +966,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.max_tenant_bytes is not None:
         config.max_tenant_bytes = args.max_tenant_bytes
     recorder = _recorder_for(args)
-    server = RepairServer(SessionManager(config, recorder=recorder))
+    try:
+        manager = SessionManager(config, recorder=recorder)
+    except JournalCorruptError as exc:
+        print(f"error: corrupt journal: {exc}", file=sys.stderr)
+        return 1
+    server = RepairServer(manager)
 
     async def run() -> None:
         # SIGTERM/SIGINT drain gracefully: finish in-flight ops, flush
@@ -1003,7 +1000,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     import os
 
-    from .state import JOURNAL_NAME, SNAPSHOT_NAME, OpJournal, load_snapshot
+    from .state import (
+        JOURNAL_NAME,
+        SNAPSHOT_NAME,
+        JournalCorruptError,
+        OpJournal,
+        load_snapshot,
+    )
 
     state_dir = args.state_dir
     if not os.path.isdir(state_dir):
@@ -1022,7 +1025,13 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         except OSError:
             pass
     chain = OpJournal.chain_paths(journal_path, args.journal_keep)
-    records, last_seq = OpJournal.load_chain(journal_path, args.journal_keep)
+    try:
+        records, last_seq = OpJournal.load_chain(
+            journal_path, args.journal_keep
+        )
+    except JournalCorruptError as exc:
+        print(f"error: corrupt journal: {exc}", file=sys.stderr)
+        return 1
     tail = [r for r in records if int(r.get("seq", 0)) > base_seq]
     tail_ops: dict = {}
     tail_sessions = set()

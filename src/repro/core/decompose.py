@@ -128,7 +128,7 @@ class Component:
         """The component as column-code arrays: ``(ids, columns, weights)``.
 
         ``columns[j]`` holds column *j*'s integer codes for the member
-        rows (member order).  This is what the process pool ships
+        rows (member order).  This is what a batch executor namespace ships
         instead of a sub-``Table`` of arbitrary values: codes preserve
         the value equality pattern and the first-seen order — all any
         S-repair solver observes — at a fraction of the pickle size.

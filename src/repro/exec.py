@@ -1,35 +1,58 @@
-"""Execution layer: map repair solvers over conflict components.
+"""Execution layer: run repair solvers over conflict components.
 
 :mod:`repro.core.decompose` splits an instance into independent conflict
-components; this module runs a solver over them — serially, or on a
-process pool — and merges the results in deterministic table order.  The
-two are deliberately separate layers: decomposition is pure conflict
-math, execution is scheduling.
+components; this module runs a solver over them — serially, or on one
+supervised executor — and merges the results in deterministic table
+order.  The two are deliberately separate layers: decomposition is pure
+conflict math, execution is scheduling.
+
+The supervised executor
+-----------------------
+:class:`SupervisedExecutor` is the one production executor.  It keeps a
+fixed number of worker *slots*, each a long-lived process holding a
+mirror of every attached session's rows, and it has two transports:
+
+- **multiprocessing queues** (:class:`PersistentWorkerPool`, worker
+  processes forked from the caller), and
+- **the stdio JSONL shard host** (:class:`repro.shard.ShardedExecutor`,
+  ``python -m repro.shard`` subprocesses speaking the
+  :mod:`repro.protocol` envelope).
+
+Both transports run the same worker message loop (:func:`worker_loop`)
+and the same parent-side supervision; a transport only moves messages.
+Dispatch is a **pull queue**: a slot receives its next solve only when
+it has none outstanding, so a slow component never holds cheap ones
+hostage behind it, and a dead slot's solve returns to the head of the
+queue.  Supervision rules, written once: a solve past its deadline is
+resent with capped exponential backoff, then its slot is failed over
+(killed, respawned with backoff, the parent-side mirror replayed as one
+``reset`` per namespace); a solve requeued more than ``max_retries``
+times degrades to the approximation tier; once every slot is abandoned
+the solves run in the calling thread against the mirror.
 
 Determinism contract
 --------------------
-Serial and parallel execution produce *identical* repairs: tasks are
-mapped order-preservingly (``ProcessPoolExecutor.map``), every solver is
-a pure function of its component, merge order is canonical table order,
-and the fresh labelled nulls a U-repair component may introduce are
-relabelled per component (``⊥c<ordinal>.<k>`` in changed-cell order), so
-even the serialised form is byte-identical however the components were
-scheduled.  A worker-side rebuild of a component's
-:class:`~repro.core.conflict_index.ConflictIndex` is equivalent to the
-parent's projected sub-index (pinned by the PR-1 index properties), so
-shipping plain sub-tables across the process boundary is safe.
-
-The process pool is a genuine pool of *processes* (the solvers are
-CPU-bound Python), forked lazily and only when the task count warrants
-it; environments without working subprocess support degrade to the
-serial path rather than failing.
+Serial and executor runs produce *identical* repairs: every solver is a
+pure function of its component's rows, results are reassembled in task
+order, merge order is canonical table order, and the fresh labelled
+nulls a U-repair component may introduce are relabelled per component
+(``⊥c<ordinal>.<k>`` in changed-cell order).  Where a task ran, and how
+often, can therefore never change an answer.  A worker-side rebuild of
+a component's :class:`~repro.core.conflict_index.ConflictIndex` is
+equivalent to the parent's projected sub-index (pinned by the PR-1
+index properties), so shipping plain rows across the process boundary
+is safe.  Environments without working subprocess support degrade to
+the serial path rather than failing.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import signal
+import threading
+from collections import deque
+from itertools import chain
 from itertools import count as _iter_count
+from time import monotonic as _monotonic
 from time import perf_counter as _perf_counter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -49,11 +72,12 @@ from .core.table import FreshValue, Table, TupleId
 
 __all__ = [
     "resolve_workers",
-    "map_components",
     "solve_components",
     "assemble_s_result",
     "decomposed_s_repair",
     "decomposed_u_repair",
+    "worker_loop",
+    "SupervisedExecutor",
     "PersistentWorkerPool",
     "DEFAULT_SESSION_KEY",
 ]
@@ -87,207 +111,985 @@ def resolve_workers(parallel: Optional[int], task_count: int) -> int:
     return min(parallel, task_count)
 
 
-def map_components(worker, tasks: Sequence, parallel: Optional[int] = None) -> List:
-    """Order-preserving map of *worker* over picklable *tasks*.
-
-    Serial for ``parallel`` in (None, 0, 1) or a single task; otherwise a
-    process pool of :func:`resolve_workers` workers.  Results come back
-    in task order either way — parallelism never changes the merge.  If
-    the platform cannot spawn workers (sandboxes, missing semaphores),
-    the pool degrades to the serial path: the workers are pure, so a
-    retry is always safe.
-    """
-    workers = resolve_workers(parallel, len(tasks))
-    if workers <= 1:
-        return [worker(task) for task in tasks]
-    chunksize = max(1, len(tasks) // (workers * 4))
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, tasks, chunksize=chunksize))
-    except (OSError, PermissionError, BrokenProcessPool):
-        return [worker(task) for task in tasks]
-
-
 # ---------------------------------------------------------------------------
-# Persistent worker pool (streaming sessions, shared by daemon sessions)
+# Worker side: one message loop for both transports
 # ---------------------------------------------------------------------------
 
-#: Namespace key a single-session pool (constructor schema/fds) binds to.
+#: Namespace key a single-session executor (constructor schema/fds) binds to.
 DEFAULT_SESSION_KEY = ""
 
+#: Task method of a U-repair component solve; the task's budget slot
+#: carries ``(ordinal, allow_exact_search, exact_budget)``.
+U_TASK = "u-repair"
 
-def _session_worker_main(inq, outq, node_limit, use_kernel=True,
-                         budget_s=None, worker_index=0, generation=0,
-                         fault_spec=None) -> None:
-    """Worker loop of a :class:`PersistentWorkerPool`.
 
-    Each worker mirrors *every attached session's* table as plain
-    ``rows``/``weights`` dicts under a session key, kept in sync by
-    broadcast delta messages, and solves components shipped as
-    **id lists only** — the payload a fork-per-call pool would re-pickle
-    per task (the whole sub-table) crosses the process boundary exactly
-    once, as deltas.  Dict insertion order mirrors the owning session's
-    (appends at the end, deletions in place), so the sub-table a worker
-    builds for an id list is identical to the session-side projection and
-    the solves are byte-identical wherever they run.
+def _apply_mirror(space, kind: str, args) -> None:
+    """Apply one maintenance op to a mirror space ``[schema, fds,
+    node_limit, budget_s, rows, weights]`` — the same code keeps the
+    workers' mirrors and the parent's replay copy in step."""
+    if kind == "reset":
+        space[4] = dict(args[0])
+        space[5] = dict(args[1])
+    elif kind == "append":
+        space[4].update(args[0])
+        space[5].update(args[1])
+    elif kind == "delete":
+        for tid in args[0]:
+            space[4].pop(tid, None)
+            space[5].pop(tid, None)
 
-    Namespacing is what lets one pool serve many concurrent
-    ``(tenant, table, Δ)`` sessions: each ``open`` message installs a
-    session's schema, FD set, and solver knobs; maintenance and solve
-    messages carry the key.  A solve against a missing or stale
-    namespace ships an error for *that* request — it never kills the
-    worker or touches other sessions' mirrors.
+
+def _subtable(space, ids) -> Table:
+    """The component sub-table for *ids* (raises ``KeyError`` for an id
+    the mirror lacks).  Mirror insertion order follows the owning
+    session's (appends at the end, deletions in place), so the rebuilt
+    sub-table equals the parent-side projection."""
+    schema, _fds, _limit, _budget, rows, weights = space
+    return Table(
+        schema,
+        {tid: rows[tid] for tid in ids},
+        {tid: weights[tid] for tid in ids},
+    )
+
+
+def _run_task(table: Table, fds: FDSet, method: str, node_limit: int, budget):
+    """Solve one task: an S-repair portfolio *method* returns ``(kept
+    ids, effective method)``; :data:`U_TASK` returns one component's
+    ``(cells, optimal, ratio_bound, method)``."""
+    if method == U_TASK:
+        ordinal, allow_exact_search, exact_budget = budget
+        return _solve_u_component(
+            ordinal, table, fds, allow_exact_search, exact_budget
+        )
+    kept, effective = _solve_s_kept(
+        table, fds, method, node_limit, budget_s=budget
+    )
+    return tuple(kept), effective
+
+
+def worker_loop(messages, reply, slot: int, generation: int,
+                plan=_faults.NULL_PLAN) -> None:
+    """The worker side of :class:`SupervisedExecutor`, shared by both
+    transports.
+
+    *messages* yields message tuples; *reply* ships one result tuple
+    ``(seq, value, seconds, error_kind, error)``.  Each worker mirrors
+    every attached namespace's rows and weights (``open``/``drop``/
+    ``reset``/``append``/``delete``) and solves components shipped as
+    **id lists only** — ``("solve", seq, key, ids, method[, budget])``
+    — so a table crosses the process boundary once, then as deltas.
+    ``error_kind`` is ``"state"`` when the namespace or an id is missing
+    (a stale mirror: the parent heals the slot by respawn and replay)
+    and ``"solve"`` for a solver exception, which fails only that
+    request.  ``("stop",)`` ends the loop.  The seconds are measured
+    around the solve itself, excluding queueing and transfer.
+
+    The ``worker.solve`` fault site fires before every solve; the
+    transport supplies the loop with *plan*, the worker's *slot* and its
+    incarnation *generation*.
     """
-    # The parent's kernel on/off choice must survive spawn/forkserver
-    # start methods, where workers re-import the module with the flag at
-    # its default — so it travels as an argument, not as ambient state.
-    _kernel.set_enabled(use_kernel)
-    # The fault plan travels the same way (and additionally carries this
-    # worker's index and generation, so a chaos rule can kill exactly
-    # one incarnation of one worker): counters restart per process.
-    plan = _faults.FaultPlan.from_spec(fault_spec)
-    solve_count = 0
-    # key -> [schema, fds, node_limit, budget_s, rows, weights]
     spaces: Dict = {}
-    while True:
-        message = inq.get()
+    solves = 0
+    for message in messages:
         kind = message[0]
         if kind == "stop":
             break
-        if kind == "open":
-            key, schema, fds, space_limit, space_budget = message[1:6]
-            spaces[key] = [
-                tuple(schema),
-                fds,
-                node_limit if space_limit is None else space_limit,
-                budget_s if space_budget is None else space_budget,
-                {},
-                {},
-            ]
-        elif kind == "drop":
-            spaces.pop(message[1], None)
-        elif kind == "reset":
-            space = spaces.get(message[1])
-            if space is not None:
-                space[4] = dict(message[2])
-                space[5] = dict(message[3])
-        elif kind == "append":
-            space = spaces.get(message[1])
-            if space is not None:
-                space[4].update(message[2])
-                space[5].update(message[3])
-        elif kind == "delete":
-            space = spaces.get(message[1])
-            if space is not None:
-                for tid in message[2]:
-                    space[4].pop(tid, None)
-                    space[5].pop(tid, None)
-        elif kind == "solve":
-            seq, key, ids, method = message[1], message[2], message[3], message[4]
-            solve_count += 1
+        if kind == "solve":
+            seq, key, ids, method = message[1:5]
+            budget = message[5] if len(message) > 5 else None
+            solves += 1
+            space = spaces.get(key)
             try:
                 # Inside the try: a ``raise`` action ships as a solve
                 # error (like any solver exception), a ``kill`` action
                 # exits the process outright.
-                plan.fire("worker.solve", worker=worker_index,
-                          generation=generation, solve=solve_count,
-                          key=key, method=method)
-                space = spaces[key]
-                schema, fds, space_limit, space_budget, rows, weights = space
-                # An optional sixth element is a per-task budget slice
-                # (the global scheduler's plans ship one per exact
-                # solve); absent, the namespace default applies.
-                solve_budget = message[5] if len(message) > 5 else space_budget
-                subtable = Table(
-                    schema,
-                    {tid: rows[tid] for tid in ids},
-                    {tid: weights[tid] for tid in ids},
-                )
-                solve_start = _perf_counter()
-                kept, effective = _solve_s_kept(
-                    subtable, fds, method, space_limit, budget_s=solve_budget
-                )
-                elapsed = _perf_counter() - solve_start
+                plan.fire("worker.solve", worker=slot, generation=generation,
+                          solve=solves, key=key, method=method)
+                if space is None:
+                    reply((seq, None, 0.0, "state",
+                           f"unknown session namespace {key!r}"))
+                    continue
+                try:
+                    table = _subtable(space, ids)
+                except KeyError as exc:
+                    reply((seq, None, 0.0, "state",
+                           f"stale mirror, missing id {exc}"))
+                    continue
+                start = _perf_counter()
+                value = _run_task(table, space[1], method, space[2],
+                                  space[3] if budget is None else budget)
+                elapsed = _perf_counter() - start
             except BaseException as exc:  # ship the failure, don't die
-                outq.put((seq, None, None, 0.0, repr(exc)))
+                reply((seq, None, 0.0, "solve", repr(exc)))
             else:
-                outq.put((seq, tuple(kept), effective, elapsed, None))
+                reply((seq, value, elapsed, None, None))
+        elif kind == "open":
+            key, schema, fds, node_limit, budget_s = message[1:6]
+            spaces[key] = [tuple(schema), fds, node_limit, budget_s, {}, {}]
+        elif kind == "drop":
+            spaces.pop(message[1], None)
+        else:
+            space = spaces.get(message[1])
+            if space is not None:
+                _apply_mirror(space, kind, message[2:])
 
 
-class _Inflight:
-    """Parent-side record of one dispatched solve: where it is routed,
-    how it has been retried, and what it has degraded to."""
+# ---------------------------------------------------------------------------
+# The supervised executor (parent side, transport-agnostic)
+# ---------------------------------------------------------------------------
 
-    __slots__ = ("key", "ids", "method", "budget", "widx", "sent_at",
-                 "attempts", "degraded")
+#: Supervision tick: liveness, heartbeats, deadlines, due respawns.
+_TICK_S = 0.02
 
-    def __init__(self, key, ids, method, budget):
+#: What a transport raises when it cannot start a slot process.
+_SPAWN_ERRORS = (OSError, ValueError, ImportError, AttributeError)
+
+
+class _Solve:
+    """Parent-side record of one submitted solve."""
+
+    __slots__ = ("key", "ids", "method", "budget", "slot", "seq",
+                 "sent_at", "resend_at", "resends", "retries", "degraded",
+                 "claimed", "done", "value", "secs", "error", "pending")
+
+    def __init__(self, key, ids, method, budget, pending):
+        self.pending = pending  # [unfinished solves of the call], shared
         self.key = key
-        self.ids = ids
+        self.ids = tuple(ids)
         self.method = method
         self.budget = budget
-        self.widx = None       # routed worker slot (None = unrouted)
-        self.sent_at = None    # monotonic dispatch time (timeout sweep)
-        self.attempts = 0      # retries consumed
-        self.degraded = False  # already fell to the approximation tier
+        self.slot = None        # slot it is outstanding on (None = queued)
+        self.seq = None         # current attempt's seq (stale seqs drop)
+        self.sent_at = None     # monotonic send time (deadline sweep)
+        self.resend_at = None   # backoff gate of a pending resend
+        self.resends = 0        # deadline resends on the current slot
+        self.retries = 0        # requeues after slot failures
+        self.degraded = False   # already fell to the approximation tier
+        self.claimed = False    # a caller thread is solving it locally
+        self.done = False
+        self.value = None
+        self.secs = 0.0
+        self.error = None
+
+    def finish(self, cond, value=None, secs=0.0, error=None) -> None:
+        """Record the outcome (caller holds *cond*); the waiting call is
+        woken once, when its last solve finishes."""
+        if self.done:
+            return
+        self.value, self.secs, self.error = value, secs, error
+        self.done = True
+        self.pending[0] -= 1
+        if not self.pending[0]:
+            cond.notify_all()
 
 
-class PersistentWorkerPool:
-    """Long-lived worker processes shared by streaming repair sessions.
+class SupervisedExecutor:
+    """Long-lived worker slots behind one pull queue, with supervision.
 
-    :func:`map_components` forks a fresh process pool per call and ships
-    whole sub-tables — right for one-shot batch repairs, pure overhead
-    for a session issuing many small re-repairs.  This pool keeps warm
-    workers across calls: each worker holds a mirror of each attached
-    session's table (synchronised by broadcasting the same deltas the
-    sessions apply locally), so a solve request is just ``(component
-    ids, method)``.
+    A *transport* spawns slot processes and moves messages: ``open(
+    on_reply)``, ``spawn(slot, generation, use_kernel, faults, replay)``
+    → handle (the replay messages delivered first, before ``spawn``
+    returns), ``encode(message)``, ``close()``; a handle offers
+    ``send``, ``alive``, ``wait_ready``, ``stop``, ``close(timeout)``,
+    and ``last_activity`` when heartbeats are on.  Everything else
+    lives here, once.
 
-    **Multi-tenancy.**  Worker mirrors are namespaced by a session key:
-    :meth:`open_session` installs a session's schema, Δ, and solver
-    knobs on every worker; :meth:`broadcast` and :meth:`solve` take the
-    key.  One pool therefore serves many concurrent ``(tenant, table,
-    Δ)`` sessions — the process lifecycle (spawn, dispatch, teardown)
-    lives here, while the engine state (mirrors, caches, indexes) stays
-    per session.  Constructing with ``schema``/``fds`` binds the default
-    namespace, preserving the single-session API.
+    **Namespaces.**  :meth:`open_session` installs a session's schema,
+    Δ, and solver knobs on every slot; :meth:`broadcast` fans a
+    ``reset``/``append``/``delete`` delta out; :meth:`solve` takes the
+    key.  One executor therefore serves many concurrent ``(tenant,
+    table, Δ)`` sessions.  Constructing with ``schema``/``fds`` binds
+    the default namespace.
 
-    **Concurrency.**  ``solve`` is thread-safe: a collector thread drains
-    the shared result queue and correlates results to callers by global
-    sequence number, so concurrent solves from many sessions interleave
-    freely — one session's slow exact solve never blocks another's.
+    **Dispatch.**  :meth:`solve` is thread-safe.  Tasks join one FIFO
+    queue in submission order; a slot pulls the head when it has no
+    solve outstanding; results correlate by sequence number and come
+    back in task order.
 
-    **Failure and supervision.**  A worker process dying is detected
-    within ~0.2 s by the collector's liveness sweep.  By default the
-    pool *self-heals*: a supervisor respawns the dead worker with capped
-    exponential backoff, replays the parent-side table mirror (full
-    snapshot of every attached namespace, so no delta is lost) into the
-    replacement, and transparently **retries** the solves that were in
-    flight on the dead worker — safe and byte-identical because the
-    workers are pure functions of the mirrored component content.
-    After ``max_retries`` the failing component **degrades** to the
-    approximation tier (reported honestly in method mixes, exactly like
-    budget exhaustion); tasks already in the approximation tier fail
-    that call instead.  Per-solve timeouts (``solve_timeout_s``) ride
-    the same path: the stuck worker is terminated, its other in-flight
-    solves retry, and the overdue solve degrades.  A slot that keeps
-    crashing is abandoned after ``max_respawns`` attempts; the pool is
-    broken only when every slot is gone, and callers then fall back to
-    the serial path as before.  ``supervise=False`` restores the PR-6
-    fail-fast semantics (no mirror, no respawn, dead workers fail their
-    routed solves immediately).  Supervision counters are exposed via
-    :meth:`supervision_stats` and the optional *recorder*.  A worker-side
-    solve *exception* still fails only that call.  The pool is an
-    optimisation, never a dependency: construction degrades gracefully
-    (``start`` returns ``False``) on platforms without subprocess
-    support, and callers re-solve serially on any failure.
+    **Supervision** (``supervise=True``).  The parent keeps an
+    authoritative mirror of every namespace.  A solve outstanding past
+    *deadline_s* is resent to its slot up to *resends* times with capped
+    exponential backoff, then the slot is failed over.  A failed slot —
+    dead process, missed heartbeats, exhausted deadline, stale mirror —
+    is killed, its outstanding solve goes back to the head of the queue,
+    and a replacement is spawned after capped exponential backoff with
+    the mirror replayed into it as one ``reset`` per namespace.  A solve
+    requeued more than *max_retries* times degrades from an exact tier
+    to ``"approx"`` (reported in the effective method); any other solve
+    fails its call.  A slot that has died *max_respawns* times is
+    abandoned; once all are, solves run in the calling thread against
+    the mirror (``degraded_local``).  ``supervise=False`` is the
+    fail-fast reference: no mirror, no respawn, a dead slot fails its
+    outstanding solve, and the executor breaks when every slot is dead.
 
-    **Fault injection.**  Parent-side dispatch fires the
-    ``pool.dispatch`` site and workers fire ``worker.solve`` (see
-    :mod:`repro.faults`); *faults* defaults to the plan named by the
-    ``FDREPAIR_FAULTS`` environment variable, so chaos tests drive real
-    worker deaths deterministically instead of monkeypatching.
+    Construction never fails; :meth:`start` returns ``False`` on
+    platforms without subprocess support, and callers keep their serial
+    fallback.  :meth:`supervision_stats` is the honesty channel.
     """
+
+    executor_kind = "executor"
+    #: Slot noun in counters and error messages ("worker", "shard").
+    noun = "worker"
+
+    def __init__(self, transport, slots: int, schema=None,
+                 fds: Optional[FDSet] = None, node_limit: int = 2000,
+                 use_kernel: Optional[bool] = None,
+                 budget_s: Optional[float] = None, *,
+                 supervise: bool = True,
+                 deadline_s: Optional[float] = None,
+                 resends: int = 0,
+                 resend_backoff_s: float = 0.05,
+                 resend_backoff_cap_s: float = 2.0,
+                 max_retries: int = 2,
+                 max_respawns: int = 8,
+                 respawn_backoff_s: float = 0.05,
+                 respawn_backoff_cap_s: float = 2.0,
+                 heartbeat_s: Optional[float] = None,
+                 heartbeat_miss_s: float = 10.0,
+                 spawn_timeout_s: float = 20.0,
+                 faults=None,
+                 recorder=None):
+        self._transport = transport
+        self._n = max(1, int(slots))
+        self._schema = None if schema is None else tuple(schema)
+        self._fds = fds
+        self._node_limit = node_limit
+        self._budget_s = budget_s
+        self._use_kernel = (
+            _kernel.enabled() if use_kernel is None else bool(use_kernel)
+        )
+        self._supervise = bool(supervise)
+        self._deadline_s = deadline_s
+        self._resends = max(0, int(resends))
+        self._resend_backoff = (
+            max(0.0, float(resend_backoff_s)), float(resend_backoff_cap_s)
+        )
+        self._max_retries = max(0, int(max_retries))
+        self._max_respawns = max(0, int(max_respawns))
+        self._respawn_backoff = (
+            max(0.0, float(respawn_backoff_s)), float(respawn_backoff_cap_s)
+        )
+        self._heartbeat_s = heartbeat_s
+        self._heartbeat_miss_s = heartbeat_miss_s
+        self._spawn_timeout_s = spawn_timeout_s
+        self._faults = _faults.resolve(faults)
+        self._recorder = _obs.resolve(recorder)
+
+        self._started = False
+        self._broken = False
+        self._closed = False
+        self._local = False  # every slot abandoned: solve in the caller
+        self._stop = threading.Event()
+        self._monitor: Optional[threading.Thread] = None
+        # Scheduling state, guarded by _cond.
+        self._cond = threading.Condition()
+        self._handles: List = [None] * self._n
+        self._gens = [0] * self._n
+        self._busy: List[Optional[_Solve]] = [None] * self._n
+        self._dead = set(range(self._n))
+        self._abandoned: set = set()
+        self._respawn_at: Dict[int, float] = {}
+        self._respawning: set = set()
+        self._respawn_attempts: Dict[int, int] = {}
+        self._queue: deque = deque()
+        self._by_seq: Dict[int, _Solve] = {}
+        self._next_seq = 0
+        self._last_ping = 0.0
+        self._deaths = f"{self.noun}_deaths"
+        self._counters = {
+            self._deaths: 0, "respawns": 0, "retries": 0, "rerouted": 0,
+            "degraded": 0, "degraded_local": 0, "timeouts": 0,
+            "heartbeat_misses": 0, "abandoned": 0, "rpcs": 0,
+        }
+        # Authoritative namespace mirrors (key -> [schema, fds,
+        # node_limit, budget_s, rows, weights]) replayed into
+        # replacements.  _io serialises mirror updates, fan-out and
+        # replay, so a respawn never misses a delta.  Lock order: _io
+        # before _cond, never the reverse.
+        self._mirror: Dict = {}
+        self._io = threading.Lock()
+
+    # -- introspection --------------------------------------------------
+
+    @property
+    def alive(self) -> bool:
+        return self._started and not self._broken and not self._closed
+
+    @property
+    def worker_count(self) -> int:
+        return self._n
+
+    def live_slots(self) -> int:
+        with self._cond:
+            return sum(
+                1 for slot in range(self._n)
+                if self._handles[slot] is not None and slot not in self._dead
+            )
+
+    def supervision_stats(self) -> Dict[str, int]:
+        """Supervision counters: ``<noun>_deaths``, ``respawns``,
+        ``retries``, ``rerouted``, ``degraded``, ``degraded_local``,
+        ``timeouts``, ``heartbeat_misses``, ``abandoned``, ``rpcs``."""
+        with self._cond:
+            return dict(self._counters)
+
+    # -- lifecycle -------------------------------------------------------
+
+    def start(self) -> bool:
+        """Spawn every slot; True once all are ready (idempotent)."""
+        if self._started:
+            return self.alive
+        self._started = True
+        with self._io:
+            replay = self._replay()
+            try:
+                self._transport.open(self._on_reply)
+                for slot in range(self._n):
+                    self._handles[slot] = self._transport.spawn(
+                        slot, 0, self._use_kernel, self._faults, replay
+                    )
+            except _SPAWN_ERRORS:
+                return self._fail_start()
+            deadline = _monotonic() + self._spawn_timeout_s
+            for handle in self._handles:
+                if not handle.wait_ready(max(0.0, deadline - _monotonic())):
+                    return self._fail_start()
+            with self._cond:
+                self._dead.clear()
+        self._monitor = threading.Thread(
+            target=self._monitor_loop, name=f"fdrepair-{self.noun}-monitor",
+            daemon=True,
+        )
+        self._monitor.start()
+        if self._schema is not None and self._fds is not None:
+            if not self.open_session(DEFAULT_SESSION_KEY, self._schema,
+                                     self._fds):
+                self._broken = True
+                self.close()
+        return self.alive
+
+    def _replay(self) -> List[Tuple]:
+        """The messages that bring a fresh slot's mirror up to date: one
+        ``open`` and one ``reset`` per namespace (caller holds ``_io``,
+        so the transport must deliver them before releasing it)."""
+        return [
+            message for key, space in self._mirror.items()
+            for message in (("open", key, *space[:4]),
+                            ("reset", key, space[4], space[5]))
+        ]
+
+    def _fail_start(self) -> bool:
+        self._broken = True
+        self.close()
+        return False
+
+    def close(self) -> None:
+        """Stop every slot; safe to call repeatedly.  Outstanding solves
+        fail their calls."""
+        if not self._started or self._closed:
+            return
+        self._closed = True
+        self._stop.set()
+        if self._monitor is not None:
+            self._monitor.join(timeout=2.0)
+        with self._cond:
+            handles = [h for h in self._handles if h is not None]
+            for rec in [*self._queue, *self._busy]:
+                if rec is not None:
+                    rec.finish(self._cond,
+                               error=f"{self.executor_kind} executor closed")
+            self._queue.clear()
+            self._by_seq.clear()
+            self._busy = [None] * self._n
+            self._dead = set(range(self._n))
+            self._cond.notify_all()
+        for handle in handles:
+            handle.stop()
+        for handle in handles:
+            handle.close(2.0)
+        try:
+            self._transport.close()
+        except Exception:
+            pass
+
+    def __enter__(self) -> "SupervisedExecutor":
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __del__(self) -> None:
+        try:
+            if self._started:
+                self.close()
+        except Exception:
+            pass
+
+    # -- namespaces ------------------------------------------------------
+
+    def open_session(self, key, schema, fds: FDSet, *,
+                     node_limit: Optional[int] = None,
+                     budget_s: Optional[float] = None) -> bool:
+        """Install namespace *key* on every slot (its mirror starts
+        empty; follow with a ``reset`` broadcast)."""
+        limit = self._node_limit if node_limit is None else node_limit
+        budget = self._budget_s if budget_s is None else budget_s
+        with self._io:
+            if self._supervise:
+                self._mirror[key] = [tuple(schema), fds, limit, budget, {}, {}]
+            return self._fan_out(("open", key, tuple(schema), fds, limit,
+                                  budget))
+
+    def drop_session(self, key) -> bool:
+        """Forget namespace *key* on every slot."""
+        with self._io:
+            self._mirror.pop(key, None)
+            return self._fan_out(("drop", key))
+
+    def broadcast(self, op, key=DEFAULT_SESSION_KEY) -> bool:
+        """Apply one mirror-maintenance op — ``("reset", rows, weights)``,
+        ``("append", rows, weights)`` or ``("delete", ids)`` — to
+        namespace *key* on every slot.  False (executor dead) instead of
+        raising."""
+        with self._io:
+            space = self._mirror.get(key)
+            if space is not None:
+                _apply_mirror(space, op[0], op[1:])
+            return self._fan_out((op[0], key) + tuple(op[1:]))
+
+    def attach_table(self, key, table: Table, fds: FDSet, *,
+                     node_limit: Optional[int] = None,
+                     budget_s: Optional[float] = None) -> bool:
+        """Open namespace *key* and ship *table* as its mirror."""
+        return self.open_session(
+            key, table.schema, fds, node_limit=node_limit, budget_s=budget_s
+        ) and self.broadcast(
+            ("reset", table.rows(), table.weights()), key=key
+        )
+
+    def _fan_out(self, message) -> bool:
+        """Send *message* to every live slot (caller holds ``_io``); a
+        slot whose pipe refuses it is failed over.  Before :meth:`start`
+        the mirror alone carries it (replayed into every slot at
+        spawn) — the batch path ships a namespace that way, for free
+        under ``fork``."""
+        if not self._started:
+            return self._supervise
+        if not self.alive:
+            return False
+        encoded = self._transport.encode(message)
+        with self._cond:
+            live = [
+                (slot, handle) for slot, handle in enumerate(self._handles)
+                if slot not in self._dead
+            ]
+        for slot, handle in live:
+            if not handle.send(encoded):
+                self._fail_slot(slot, "mirror broadcast failed")
+        return self.alive
+
+    # -- solving ---------------------------------------------------------
+
+    def solve(self, tasks: Sequence[Tuple], timeout: Optional[float] = 120.0,
+              key=DEFAULT_SESSION_KEY) -> List[Tuple]:
+        """Solve ``(component ids, method[, budget])`` tasks in namespace
+        *key*; returns, in task order, each task's result followed by
+        the solve seconds — ``(kept ids, effective method, seconds)`` for
+        S-repair methods.  The optional budget is a per-task wall-clock
+        slice overriding the namespace default (how the global
+        difficulty scheduler ships each exact solve's slice).  The
+        seconds are measured inside the worker around the solve itself.
+
+        Slot deaths, lost messages and stalls are survived inside the
+        call (see the class docstring).  Raises ``RuntimeError`` only
+        when the executor is closed or broken, the batch *timeout*
+        (``None``: no limit) expires, or a solve fails; callers then
+        solve serially.
+        """
+        if not self.alive:
+            raise RuntimeError(f"{self.executor_kind} executor is not running")
+        if not tasks:
+            return []
+        pending = [len(tasks)]
+        recs = [
+            _Solve(key, task[0], task[1], task[2] if len(task) > 2 else None,
+                   pending)
+            for task in tasks
+        ]
+        with self._cond:
+            self._queue.extend(recs)
+        self._pump()
+        deadline = None if timeout is None else _monotonic() + timeout
+        failure = None
+        while True:
+            claimed = []
+            with self._cond:
+                if not pending[0]:
+                    break
+                if self._local:
+                    for rec in recs:
+                        if not rec.done and rec.slot is None and not rec.claimed:
+                            rec.claimed = True
+                            claimed.append(rec)
+                    self._queue = deque(
+                        r for r in self._queue if not (r.claimed or r.done)
+                    )
+                elif not self.alive:
+                    failure = f"{self.executor_kind} executor failed"
+                elif deadline is not None and _monotonic() >= deadline:
+                    failure = (f"{self.executor_kind} executor timed out "
+                               f"after {timeout:g}s")
+                if failure is not None:
+                    for rec in recs:  # late results are discarded
+                        rec.finish(self._cond, error=failure)
+                    break
+                if not claimed:
+                    wait = 0.5 if deadline is None else deadline - _monotonic()
+                    self._cond.wait(min(max(wait, 0.01), 0.5))
+            for rec in claimed:
+                self._solve_local(rec)
+        if failure is not None:
+            raise RuntimeError(failure)
+        results = []
+        for rec in recs:
+            if rec.error is not None:
+                raise RuntimeError(f"{self.noun} solve failed: {rec.error}")
+            results.append(rec.value + (rec.secs,))
+        return results
+
+    def _solve_local(self, rec: _Solve) -> None:
+        """Run one solve in the calling thread against the mirror — same
+        rows, same pure solver, byte-identical answer."""
+        value, secs, error = None, 0.0, None
+        with self._io:
+            space = self._mirror.get(rec.key)
+            try:
+                table = _subtable(space, rec.ids) if space else None
+            except KeyError as exc:
+                table, error = None, f"missing id {exc} in parent mirror"
+        if table is None and error is None:
+            error = f"unknown session namespace {rec.key!r}"
+        if error is None:
+            budget = space[3] if rec.budget is None else rec.budget
+            try:
+                start = _perf_counter()
+                value = _run_task(table, space[1], rec.method, space[2], budget)
+                secs = _perf_counter() - start
+            except Exception as exc:
+                error = repr(exc)
+        with self._cond:
+            rec.finish(self._cond, value, secs, error)
+            self._counters["degraded_local"] += 1
+        self._recorder.count(f"{self.noun}.degraded_local")
+
+    # -- dispatch --------------------------------------------------------
+
+    def _assign_locked(self, slot: int, rec: _Solve, now: float):
+        """Route *rec* to *slot* under a fresh seq (caller holds
+        ``_cond``); returns the send for :meth:`_send_solves`."""
+        if rec.seq is not None:
+            self._by_seq.pop(rec.seq, None)
+        seq = self._next_seq
+        self._next_seq += 1
+        rec.slot, rec.seq, rec.sent_at, rec.resend_at = slot, seq, now, None
+        self._by_seq[seq] = rec
+        self._busy[slot] = rec
+        self._counters["rpcs"] += 1
+        message = ("solve", seq, rec.key, rec.ids, rec.method)
+        if rec.budget is not None:
+            message += (rec.budget,)
+        return slot, self._handles[slot], message
+
+    def _pump(self) -> None:
+        """Hand the queue head to every idle live slot."""
+        sends = []
+        with self._cond:
+            if not self._queue:
+                return
+            now = _monotonic()
+            for slot in range(self._n):
+                if self._busy[slot] is not None or slot in self._dead:
+                    continue
+                while self._queue and (self._queue[0].done
+                                       or self._queue[0].claimed):
+                    self._queue.popleft()
+                if not self._queue:
+                    break
+                sends.append(
+                    self._assign_locked(slot, self._queue.popleft(), now)
+                )
+        self._send_solves(sends)
+
+    def _send_solves(self, sends) -> None:
+        for slot, handle, message in sends:
+            if not handle.send(self._transport.encode(message)):
+                self._fail_slot(slot, "solve dispatch failed")
+
+    def _on_reply(self, reply) -> None:
+        """Transport callback: correlate one ``(seq, value, seconds,
+        error_kind, error)`` result and give its slot the next solve."""
+        try:
+            seq, value, secs, kind, error = reply
+        except (TypeError, ValueError):
+            return
+        stale = None
+        with self._cond:
+            rec = self._by_seq.pop(seq, None)
+            if rec is None or rec.slot is None:
+                return  # a superseded attempt
+            if (kind == "state" and not rec.done and self._supervise
+                    and rec.key in self._mirror):
+                # The slot's mirror is stale (a lost delta), not the
+                # component: fail the slot over, which requeues the
+                # solve and heals the slot by replay.
+                stale = rec.slot
+            else:
+                if self._busy[rec.slot] is rec:
+                    self._busy[rec.slot] = None
+                rec.slot = rec.seq = None
+                rec.finish(self._cond, value, secs,
+                           None if kind is None else error)
+        if stale is not None:
+            self._fail_slot(stale, "stale mirror")
+        self._pump()
+
+    # -- supervision -----------------------------------------------------
+
+    def _monitor_loop(self) -> None:
+        while not self._stop.wait(_TICK_S):
+            now = _monotonic()
+            with self._cond:
+                live = [
+                    (slot, handle) for slot, handle in enumerate(self._handles)
+                    if slot not in self._dead
+                ]
+            self._fail_slots(
+                [slot for slot, handle in live if not handle.alive()],
+                f"{self.noun} process died",
+            )
+            if self._heartbeat_s and now - self._last_ping >= self._heartbeat_s:
+                self._last_ping = now
+                self._heartbeat(live, now)
+            if self._deadline_s is not None and self._supervise:
+                self._sweep_deadlines(now)
+            self._service_respawns(now)
+            self._pump()
+
+    def _heartbeat(self, live, now: float) -> None:
+        ping = self._transport.encode(("ping",))
+        for slot, handle in live:
+            if now - handle.last_activity > self._heartbeat_miss_s:
+                with self._cond:
+                    self._counters["heartbeat_misses"] += 1
+                self._fail_slot(slot, "missed heartbeats")
+            else:
+                handle.send(ping)
+
+    def _sweep_deadlines(self, now: float) -> None:
+        """Resend overdue solves with capped backoff; fail the slot over
+        once a solve's resends are spent."""
+        resend, overdue = [], []
+        base, cap = self._resend_backoff
+        with self._cond:
+            for slot, rec in enumerate(self._busy):
+                if rec is None or slot in self._dead:
+                    continue
+                if rec.sent_at is None:
+                    if now >= rec.resend_at:
+                        resend.append(self._assign_locked(slot, rec, now))
+                    continue
+                if now - rec.sent_at < self._deadline_s:
+                    continue
+                self._counters["timeouts"] += 1
+                if rec.resends < self._resends:
+                    rec.resends += 1
+                    self._counters["retries"] += 1
+                    rec.sent_at = None
+                    rec.resend_at = now + min(base * 2 ** (rec.resends - 1), cap)
+                else:
+                    overdue.append(slot)
+        self._send_solves(resend)
+        for slot in overdue:
+            self._recorder.count(f"{self.noun}.timeout")
+            self._fail_slot(
+                slot, f"solve exceeded {self._deadline_s:g}s"
+            )
+
+    def _fail_slot(self, slot: int, reason: str) -> None:
+        self._fail_slots((slot,), reason)
+
+    def _fail_slots(self, slots, reason: str) -> None:
+        """Take *slots* out of service at once: kill them, requeue (or
+        fail) their outstanding solves, and book respawns or abandon the
+        slots.  One lock hold, so a caller woken by a failed solve sees
+        every simultaneous death — and a broken executor — together."""
+        closing = []
+        with self._cond:
+            for slot in slots:
+                handle = self._handles[slot]
+                if handle is None or slot in self._dead:
+                    continue
+                closing.append(handle)
+                self._dead.add(slot)
+                self._counters[self._deaths] += 1
+                rec = self._busy[slot]
+                self._busy[slot] = None
+                if rec is not None:
+                    self._requeue_locked(rec, reason)
+                if self._supervise and not self._closed:
+                    self._schedule_respawn_locked(slot)
+            if not closing:
+                return
+            self._check_exhausted_locked()
+            self._cond.notify_all()
+        for handle in closing:
+            handle.close(0.0)
+            self._recorder.count(f"{self.noun}.death")
+        self._pump()
+
+    def _requeue_locked(self, rec: _Solve, reason: str) -> None:
+        """Back to the head of the queue within the retry budget, then
+        degraded to the approximation tier, else failed."""
+        if rec.seq is not None:
+            self._by_seq.pop(rec.seq, None)
+        rec.slot = rec.seq = rec.sent_at = rec.resend_at = None
+        rec.resends = 0
+        if rec.done:
+            return
+        if self._supervise and rec.retries < self._max_retries:
+            rec.retries += 1
+            self._counters["retries"] += 1
+            self._counters["rerouted"] += 1
+        elif (self._supervise and not rec.degraded
+                and rec.method in ("exact", "dichotomy")):
+            rec.method = "approx"
+            rec.degraded = True
+            rec.retries = 0
+            self._counters["degraded"] += 1
+        else:
+            rec.finish(self._cond, error=reason)
+            return
+        self._queue.appendleft(rec)
+
+    def _schedule_respawn_locked(self, slot: int) -> None:
+        attempts = self._respawn_attempts.get(slot, 0)
+        if attempts >= self._max_respawns:
+            if slot not in self._abandoned:
+                self._abandoned.add(slot)
+                self._counters["abandoned"] += 1
+            return
+        base, cap = self._respawn_backoff
+        self._respawn_at[slot] = _monotonic() + min(base * 2 ** attempts, cap)
+
+    def _check_exhausted_locked(self) -> None:
+        """No live slot and none coming back: degrade to local execution
+        under supervision, break otherwise."""
+        if (len(self._dead) < self._n or self._respawn_at
+                or self._respawning or self._closed):
+            return
+        if self._supervise:
+            self._local = True
+        else:
+            self._broken = True
+        self._cond.notify_all()
+
+    def _service_respawns(self, now: float) -> None:
+        with self._cond:
+            due = [slot for slot, at in self._respawn_at.items() if at <= now]
+            for slot in due:
+                del self._respawn_at[slot]
+                self._respawning.add(slot)
+        for slot in due:
+            self._respawn(slot)
+
+    def _respawn(self, slot: int) -> None:
+        """Spawn a replacement for *slot* with the mirror replayed into
+        it, under ``_io`` so no delta slips between replay and rejoin."""
+        self._respawn_attempts[slot] = self._respawn_attempts.get(slot, 0) + 1
+        generation = self._gens[slot] + 1
+        with self._io:
+            try:
+                handle = self._transport.spawn(
+                    slot, generation, self._use_kernel, self._faults,
+                    self._replay(),
+                )
+            except _SPAWN_ERRORS:
+                handle = None
+            if handle is not None and not handle.wait_ready(
+                    self._spawn_timeout_s):
+                handle.close(0.0)
+                handle = None
+            with self._cond:
+                self._respawning.discard(slot)
+                if handle is None:
+                    self._schedule_respawn_locked(slot)
+                    self._check_exhausted_locked()
+                    return
+                joined = not self._closed
+                if joined:
+                    self._handles[slot] = handle
+                    self._gens[slot] = generation
+                    self._dead.discard(slot)
+                    self._counters["respawns"] += 1
+                    self._cond.notify_all()
+        if not joined:
+            handle.close(0.0)
+            return
+        self._recorder.count(f"{self.noun}.respawn")
+        self._pump()
+
+
+# ---------------------------------------------------------------------------
+# Multiprocessing-queue transport
+# ---------------------------------------------------------------------------
+
+
+def _mp_worker_main(inq, outq, slot, generation, use_kernel, fault_spec,
+                    replay) -> None:
+    # The kernel flag and the fault plan travel as arguments: under
+    # spawn/forkserver workers re-import this module with the flag at
+    # its default, and fault counters restart per process.  The replay
+    # rides along too — inherited, not pickled, under fork.  A worker
+    # forked from the daemon would also inherit its asyncio SIGTERM
+    # handler, which turns terminate() — the deadline failover — into
+    # a no-op.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _kernel.set_enabled(use_kernel)
+    worker_loop(chain(replay, iter(inq.get, None)), outq.put, slot,
+                generation, _faults.FaultPlan.from_spec(fault_spec))
+
+
+def _retire_queue(queue) -> None:
+    """Drain *queue* and detach its feeder thread, so teardown never
+    blocks on a queue join."""
+    try:
+        while True:
+            queue.get_nowait()
+    except Exception:
+        pass
+    try:
+        queue.cancel_join_thread()
+        queue.close()
+    except Exception:
+        pass
+
+
+class _MpWorker:
+    """One worker process and its input queue."""
+
+    def __init__(self, ctx, outq, slot, generation, use_kernel, faults,
+                 replay):
+        self.slot = slot
+        self._faults = faults
+        self.inq = ctx.Queue()
+        self.proc = ctx.Process(
+            target=_mp_worker_main,
+            args=(self.inq, outq, slot, generation, use_kernel,
+                  faults.to_spec() or None, replay),
+            daemon=True,
+        )
+        self.proc.start()
+
+    def wait_ready(self, timeout: float) -> bool:
+        return True
+
+    def send(self, message) -> bool:
+        if message[0] == "solve" and self._faults.fire(
+            "pool.dispatch", worker=self.slot, seq=message[1]
+        ) == "drop":
+            return True  # lost message: the deadline path recovers it
+        try:
+            self.inq.put(message)
+        except (OSError, ValueError):
+            return False
+        return True
+
+    def alive(self) -> bool:
+        return self.proc.is_alive()
+
+    def stop(self) -> None:
+        try:
+            self.inq.put_nowait(("stop",))
+        except Exception:
+            pass
+
+    def close(self, timeout: float) -> None:
+        try:
+            self.proc.join(timeout=timeout)
+            if self.proc.is_alive():
+                self.proc.terminate()
+                self.proc.join(timeout=0.5)
+        except (OSError, ValueError, AssertionError):
+            pass
+        _retire_queue(self.inq)
+
+
+class _MpTransport:
+    """Worker processes forked from the caller, fed through one
+    multiprocessing queue each and answering on one shared result queue
+    drained by a collector thread."""
+
+    def __init__(self):
+        self._ctx = None
+        self._outq = None
+        self._collector = None
+
+    def open(self, on_reply) -> None:
+        import multiprocessing as mp
+
+        self._ctx = mp.get_context()
+        self._outq = self._ctx.Queue()
+        self._collector = threading.Thread(
+            target=self._collect, args=(self._outq, on_reply),
+            name="fdrepair-pool-collector", daemon=True,
+        )
+        self._collector.start()
+
+    @staticmethod
+    def _collect(outq, on_reply) -> None:
+        while True:
+            try:
+                item = outq.get()
+            except (OSError, ValueError, EOFError):
+                return
+            if item is None:
+                return
+            on_reply(item)
+
+    def spawn(self, slot, generation, use_kernel, faults,
+              replay) -> _MpWorker:
+        return _MpWorker(self._ctx, self._outq, slot, generation, use_kernel,
+                         faults, replay)
+
+    @staticmethod
+    def encode(message):
+        return message
+
+    def close(self) -> None:
+        if self._outq is None:
+            return
+        self._outq.put(None)  # wakes the collector without a poll
+        self._collector.join(timeout=2.0)
+        _retire_queue(self._outq)
+        self._outq = None
+
+
+class PersistentWorkerPool(SupervisedExecutor):
+    """The supervised executor on the multiprocessing transport: warm
+    worker processes shared by streaming sessions, the daemon, and
+    ``clean(parallel=N)`` / ``u_repair(parallel=N)`` batches.
+
+    *solve_timeout_s* is the per-solve deadline: a solve stuck past it
+    gets its worker terminated and rides the retry-then-degrade path.
+    ``supervise=False`` is the fail-fast reference arm.  Parent-side
+    dispatch fires the ``pool.dispatch`` fault site and workers fire
+    ``worker.solve`` (see :mod:`repro.faults`); *faults* defaults to the
+    plan named by ``FDREPAIR_FAULTS``.
+    """
+
+    executor_kind = "pool"
+    noun = "worker"
 
     def __init__(self, workers: int, schema=None, fds: Optional[FDSet] = None,
                  node_limit: int = 2000,
@@ -301,599 +1103,24 @@ class PersistentWorkerPool:
                  solve_timeout_s: Optional[float] = None,
                  faults=None,
                  recorder=None):
-        import threading
+        super().__init__(
+            _MpTransport(), workers, schema, fds, node_limit, use_kernel,
+            budget_s, supervise=supervise, deadline_s=solve_timeout_s,
+            max_retries=max_retries, max_respawns=max_respawns,
+            respawn_backoff_s=respawn_backoff_s,
+            respawn_backoff_cap_s=respawn_backoff_cap_s,
+            faults=faults, recorder=recorder,
+        )
 
-        self._worker_count = max(1, int(workers))
-        self._schema = None if schema is None else tuple(schema)
-        self._fds = fds
-        self._node_limit = node_limit
-        self._budget_s = budget_s
-        self._use_kernel = _kernel.enabled() if use_kernel is None else bool(use_kernel)
-        self._procs: List = []
-        self._inqs: List = []
-        self._outq = None
-        self._mp_ctx = None
-        self._started = False
-        self._broken = False
-        self._closed = False
-        self._stop = threading.Event()
-        self._collector = None
-        self._cond = threading.Condition()
-        self._pending: Dict[int, "_Inflight"] = {}  # seq -> in-flight record
-        self._done: Dict[int, Tuple] = {}    # seq -> (kept, method, secs, error)
-        self._dead: set = set()
-        self._next_seq = 0
-        self._rr = 0
-        # --- supervision state ---------------------------------------
-        self._supervise = bool(supervise)
-        self._max_retries = max(0, int(max_retries))
-        self._max_respawns = max(0, int(max_respawns))
-        self._backoff_s = max(0.0, float(respawn_backoff_s))
-        self._backoff_cap_s = max(self._backoff_s, float(respawn_backoff_cap_s))
-        self._solve_timeout_s = solve_timeout_s
-        self._faults = _faults.resolve(faults)
-        self._recorder = _obs.resolve(recorder)
-        # Authoritative parent-side mirror of every namespace, replayed
-        # into replacement workers: key -> [schema, fds, node_limit,
-        # budget_s, rows, weights].  Guarded by _io, which serialises
-        # sends and replay so a respawn can never miss a delta.
-        self._mirror: Dict = {}
-        self._io = threading.Lock()
-        self._gens: List[int] = []           # per-slot incarnation number
-        self._respawn_at: Dict[int, float] = {}   # slot -> due (monotonic)
-        self._respawning: set = set()             # slots mid-respawn
-        self._respawn_attempts: Dict[int, int] = {}
-        self._abandoned: set = set()
-        self._counters = {
-            "worker_deaths": 0, "respawns": 0, "retries": 0,
-            "degraded": 0, "timeouts": 0, "abandoned": 0,
-        }
+    live_workers = SupervisedExecutor.live_slots
 
     @property
-    def alive(self) -> bool:
-        return self._started and not self._broken
+    def _procs(self) -> List:
+        return [h.proc for h in self._handles if h is not None]
 
     @property
-    def worker_count(self) -> int:
-        return self._worker_count
-
-    def live_workers(self) -> int:
-        return len(self._procs) - len(self._dead) if self._started else 0
-
-    def supervision_stats(self) -> Dict[str, int]:
-        """Counters of the self-healing machinery: ``worker_deaths``,
-        ``respawns``, ``retries``, ``degraded``, ``timeouts``,
-        ``abandoned`` — the honesty channel for chaos tests and the
-        daemon's ``stats`` op."""
-        with self._cond:
-            return dict(self._counters)
-
-    def start(self) -> bool:
-        """Spawn the workers; True on success (idempotent)."""
-        if self._started:
-            return not self._broken
-        self._started = True
-        try:
-            import multiprocessing as mp
-            import threading
-
-            ctx = mp.get_context()
-            self._mp_ctx = ctx
-            self._outq = ctx.Queue()
-            fault_spec = self._faults.to_spec() or None
-            for widx in range(self._worker_count):
-                inq = ctx.Queue()
-                proc = ctx.Process(
-                    target=_session_worker_main,
-                    args=(inq, self._outq, self._node_limit,
-                          self._use_kernel, self._budget_s,
-                          widx, 0, fault_spec),
-                    daemon=True,
-                )
-                proc.start()
-                self._inqs.append(inq)
-                self._procs.append(proc)
-                self._gens.append(0)
-            self._collector = threading.Thread(
-                target=self._collector_loop, name="fdrepair-pool-collector",
-                daemon=True,
-            )
-            self._collector.start()
-        except (OSError, PermissionError, ValueError, ImportError):
-            self._broken = True
-            self._shutdown(force=True)
-            return False
-        if self._schema is not None and self._fds is not None:
-            if not self.open_session(DEFAULT_SESSION_KEY, self._schema, self._fds):
-                self._broken = True
-                self._shutdown(force=True)
-        return not self._broken
-
-    # ------------------------------------------------------------------
-    # Session namespaces
-    # ------------------------------------------------------------------
-    def open_session(self, key, schema, fds: FDSet, *,
-                     node_limit: Optional[int] = None,
-                     budget_s: Optional[float] = None) -> bool:
-        """Install session *key*'s schema/Δ/knobs on every worker (its
-        mirror starts empty; follow with a ``reset`` broadcast)."""
-        with self._io:
-            if self._supervise:
-                self._mirror[key] = [tuple(schema), fds, node_limit,
-                                     budget_s, {}, {}]
-            return self._send_all(
-                ("open", key, tuple(schema), fds, node_limit, budget_s)
-            )
-
-    def drop_session(self, key) -> bool:
-        """Forget session *key*'s mirrors on every worker."""
-        with self._io:
-            self._mirror.pop(key, None)
-            return self._send_all(("drop", key))
-
-    def broadcast(self, op, key=DEFAULT_SESSION_KEY) -> bool:
-        """Send one mirror-maintenance op — ``("reset", rows, weights)``,
-        ``("append", rows, weights)`` or ``("delete", ids)`` — to every
-        worker, for session *key*.  False (pool broken) instead of
-        raising."""
-        with self._io:
-            if self._supervise:
-                self._apply_mirror(op, key)
-            return self._send_all((op[0], key) + tuple(op[1:]))
-
-    def _apply_mirror(self, op, key) -> None:
-        """Apply a maintenance op to the parent-side mirror (under
-        ``_io``) — the snapshot respawned workers are rebuilt from."""
-        space = self._mirror.get(key)
-        if space is None:
-            return
-        kind = op[0]
-        if kind == "reset":
-            space[4] = dict(op[1])
-            space[5] = dict(op[2])
-        elif kind == "append":
-            space[4].update(op[1])
-            space[5].update(op[2])
-        elif kind == "delete":
-            for tid in op[1]:
-                space[4].pop(tid, None)
-                space[5].pop(tid, None)
-
-    def _send_all(self, message) -> bool:
-        """Send to every live worker (caller holds ``_io``).  A queue
-        that refuses the message fails *that worker* — supervision then
-        respawns it and replays the mirror, so one bad pipe no longer
-        breaks the whole pool."""
-        if not self.alive:
-            return False
-        failed = []
-        for i, inq in enumerate(self._inqs):
-            if i in self._dead:
-                continue
-            try:
-                inq.put(message)
-            except (OSError, ValueError):
-                failed.append(i)
-        for i in failed:
-            self._fail_worker(i, "mirror broadcast to worker failed")
-        return self.alive
-
-    # ------------------------------------------------------------------
-    # Solving
-    # ------------------------------------------------------------------
-    def solve(self, tasks: Sequence[Tuple],
-              timeout: float = 120.0,
-              key=DEFAULT_SESSION_KEY
-              ) -> List[Tuple[Tuple[TupleId, ...], str, float]]:
-        """Solve ``(component ids, method)`` or ``(component ids, method,
-        budget_s)`` tasks on the warm workers; returns ``(kept ids,
-        effective method, solve seconds)`` per task.  The optional third
-        task element is a per-task wall-clock budget overriding the
-        session namespace's default — how the global difficulty scheduler
-        ships each exact solve's slice so pool and serial runs read the
-        identical plan.  The seconds are measured *inside* the worker
-        around the solve itself (queueing and pickling excluded), so
-        they are the pool-path counterpart of a serially timed solve —
-        the telemetry layer's predicted-vs-actual training signal.
-
-        Round-robin dispatch over live workers; results are reassembled
-        in task order.  Thread-safe — concurrent calls (one per daemon
-        session) interleave without blocking each other.  Under
-        supervision (the default) a worker dying mid-batch does **not**
-        fail the call: its in-flight solves are retried on surviving or
-        respawned workers (byte-identical — workers are pure), degrading
-        to the approximation tier only after ``max_retries``.  Raises
-        ``RuntimeError`` only when the pool is closed/broken, the batch
-        *timeout* expires, or a worker-side solve exception surfaces;
-        callers fall back to the serial path.  With ``supervise=False``
-        a dead worker fails its routed solves within ~0.2 s, as before.
-        """
-        import time as _time
-
-        if not self.alive:
-            raise RuntimeError("worker pool is not running")
-        if not tasks:
-            return []
-        deadline = _time.monotonic() + timeout
-        with self._cond:
-            if self._broken:
-                raise RuntimeError("worker pool is not running")
-            live = [i for i in range(len(self._procs)) if i not in self._dead]
-            if not live and not (self._supervise and
-                                 (self._respawn_at or self._respawning)):
-                self._broken = True
-                raise RuntimeError("worker pool has no live workers")
-            seqs = []
-            for task in tasks:
-                ids, method = task[0], task[1]
-                budget = task[2] if len(task) > 2 else None
-                seq = self._next_seq
-                self._next_seq += 1
-                self._pending[seq] = _Inflight(key, tuple(ids), method, budget)
-                seqs.append(seq)
-        self._route_unsent()
-        failure = None
-        with self._cond:
-            while True:
-                if all(seq in self._done for seq in seqs):
-                    outcomes = [self._done.pop(seq) for seq in seqs]
-                    break
-                if self._broken:
-                    failure = "worker pool failed"
-                elif _time.monotonic() >= deadline:
-                    failure = f"worker pool timed out after {timeout:g}s"
-                if failure is not None:
-                    for seq in seqs:  # abandon: late results are discarded
-                        self._pending.pop(seq, None)
-                        self._done.pop(seq, None)
-                    break
-                remaining = deadline - _time.monotonic()
-                self._cond.wait(min(max(remaining, 0.01), 0.5))
-        if failure is not None:
-            raise RuntimeError(failure)
-        results = []
-        for kept, effective, secs, error in outcomes:
-            if error is not None:
-                raise RuntimeError(f"worker solve failed: {error}")
-            results.append((kept, effective, secs))
-        return results
-
-    def _route_unsent(self) -> None:
-        """Assign every unrouted in-flight solve to a live worker and
-        ship it.  Called after registration, after a worker failure
-        requeues its solves, and after a respawn brings capacity back —
-        when no worker is live yet, solves stay queued for the next
-        respawn instead of failing."""
-        import time as _time
-
-        to_send: List[Tuple] = []
-        with self._cond:
-            live = [i for i in range(len(self._procs)) if i not in self._dead]
-            if not live:
-                return
-            for seq, rec in self._pending.items():
-                if rec.widx is not None:
-                    continue
-                rec.widx = live[self._rr % len(live)]
-                self._rr += 1
-                rec.sent_at = _time.monotonic()
-                to_send.append((seq, rec.widx, rec.key, rec.ids,
-                                rec.method, rec.budget))
-        failed = set()
-        with self._io:
-            for seq, widx, key, ids, method, budget in to_send:
-                if self._faults.fire("pool.dispatch",
-                                     worker=widx, seq=seq) == "drop":
-                    continue  # lost message: the timeout sweep recovers it
-                message = (
-                    ("solve", seq, key, ids, method)
-                    if budget is None
-                    else ("solve", seq, key, ids, method, budget)
-                )
-                try:
-                    self._inqs[widx].put(message)
-                except (OSError, ValueError):
-                    failed.add(widx)
-        for widx in failed:
-            self._fail_worker(widx, "dispatch to worker failed")
-
-    # ------------------------------------------------------------------
-    # Result collection, worker liveness, and supervision
-    # ------------------------------------------------------------------
-    def _collector_loop(self) -> None:
-        from queue import Empty
-        import time as _time
-
-        outq = self._outq
-        last_sweep = 0.0
-        while not self._stop.is_set():
-            now = _time.monotonic()
-            if now - last_sweep >= 0.1:
-                last_sweep = now
-                self._reap_dead_workers()
-                self._sweep_timeouts()
-                self._service_respawns()
-            try:
-                item = outq.get(timeout=0.1)
-            except Empty:
-                continue
-            except (OSError, ValueError, EOFError):
-                break
-            try:
-                seq, kept, effective, secs, error = item
-            except (TypeError, ValueError):
-                continue
-            with self._cond:
-                if seq in self._pending:
-                    del self._pending[seq]
-                    self._done[seq] = (kept, effective, secs, error)
-                    self._cond.notify_all()
-
-    def _reap_dead_workers(self) -> None:
-        """Liveness sweep (~0.2 s): a worker process that died mid-solve
-        leaves the dispatch rotation immediately; under supervision its
-        in-flight solves are requeued and a replacement is scheduled,
-        otherwise they fail fast so callers never burn the full solve
-        timeout."""
-        fresh_dead = [
-            i for i, proc in enumerate(self._procs)
-            if i not in self._dead and not proc.is_alive()
-        ]
-        for widx in fresh_dead:
-            self._fail_worker(widx, "worker process died")
-
-    def _fail_worker(self, widx: int, reason: str) -> None:
-        requeued = False
-        with self._cond:
-            if widx in self._dead:
-                return
-            self._dead.add(widx)
-            self._counters["worker_deaths"] += 1
-            supervising = self._supervise and not self._closed
-            for seq, rec in list(self._pending.items()):
-                if rec.widx != widx:
-                    continue
-                if supervising and rec.attempts < self._max_retries:
-                    # Transparent retry: workers are pure, so re-running
-                    # the solve elsewhere is byte-identical.
-                    rec.attempts += 1
-                    rec.widx = None
-                    rec.sent_at = None
-                    self._counters["retries"] += 1
-                    requeued = True
-                elif (supervising and not rec.degraded
-                        and rec.method in ("exact", "dichotomy")):
-                    # Retries exhausted: degrade to the approximation
-                    # tier, reported honestly via the effective method —
-                    # the same escape hatch as budget exhaustion.
-                    rec.method = "approx"
-                    rec.degraded = True
-                    rec.attempts = 0
-                    rec.widx = None
-                    rec.sent_at = None
-                    self._counters["degraded"] += 1
-                    requeued = True
-                else:
-                    del self._pending[seq]
-                    self._done[seq] = (None, None, 0.0, reason)
-            if supervising:
-                self._schedule_respawn_locked(widx)
-            if (len(self._dead) >= len(self._procs)
-                    and not (self._respawn_at or self._respawning)):
-                self._broken = True
-            self._cond.notify_all()
-        self._recorder.count("pool.worker_death")
-        if requeued:
-            self._route_unsent()
-
-    def _schedule_respawn_locked(self, widx: int) -> None:
-        """Book a replacement for slot *widx* after a capped-exponential
-        backoff; a slot that has crashed ``max_respawns`` times is
-        abandoned (caller holds ``_cond``)."""
-        import time as _time
-
-        attempts = self._respawn_attempts.get(widx, 0)
-        if attempts >= self._max_respawns:
-            if widx not in self._abandoned:
-                self._abandoned.add(widx)
-                self._counters["abandoned"] += 1
-            return
-        delay = min(self._backoff_s * (2 ** attempts), self._backoff_cap_s)
-        self._respawn_at[widx] = _time.monotonic() + delay
-
-    def _sweep_timeouts(self) -> None:
-        """Per-solve timeout path: terminate the worker hosting an
-        overdue solve (it is presumed stuck).  The overdue solve's
-        retries are exhausted on the spot — re-running the identical
-        solve would stall again — so the failure handler degrades it,
-        while the worker's *other* in-flight solves retry normally."""
-        if self._solve_timeout_s is None or not self._supervise:
-            return
-        import time as _time
-
-        victims = set()
-        with self._cond:
-            now = _time.monotonic()
-            for rec in self._pending.values():
-                if (rec.widx is not None and rec.widx not in self._dead
-                        and rec.sent_at is not None
-                        and now - rec.sent_at > self._solve_timeout_s):
-                    rec.attempts = max(rec.attempts, self._max_retries)
-                    self._counters["timeouts"] += 1
-                    victims.add(rec.widx)
-        for widx in victims:
-            try:
-                self._procs[widx].terminate()
-            except (OSError, ValueError, AttributeError):
-                pass
-            self._recorder.count("pool.timeout")
-            self._fail_worker(
-                widx, f"solve exceeded {self._solve_timeout_s:g}s"
-            )
-
-    def _service_respawns(self) -> None:
-        """Run due respawns (collector thread).  A slot moves from the
-        backoff book to ``_respawning`` while its replacement spawns, so
-        concurrent failure handling never mistakes an in-progress
-        respawn for a dead pool."""
-        if not self._supervise or self._closed:
-            return
-        import time as _time
-
-        due = []
-        with self._cond:
-            now = _time.monotonic()
-            for widx, when in list(self._respawn_at.items()):
-                if when <= now:
-                    del self._respawn_at[widx]
-                    self._respawning.add(widx)
-                    due.append(widx)
-        for widx in due:
-            ok = self._respawn_worker(widx)
-            with self._cond:
-                self._respawning.discard(widx)
-                if not ok:
-                    self._schedule_respawn_locked(widx)
-                if (len(self._dead) >= len(self._procs)
-                        and not (self._respawn_at or self._respawning)):
-                    self._broken = True
-                    self._cond.notify_all()
-        if due:
-            self._route_unsent()
-
-    def _respawn_worker(self, widx: int) -> bool:
-        """Spawn a replacement for slot *widx* and replay the full table
-        mirror into it before it rejoins the rotation.  Replay holds
-        ``_io``, which also serialises broadcasts — so the replacement's
-        snapshot plus subsequent deltas is exactly the state every other
-        worker holds, and solves on it stay byte-identical."""
-        self._respawn_attempts[widx] = self._respawn_attempts.get(widx, 0) + 1
-        generation = self._gens[widx] + 1
-        fault_spec = self._faults.to_spec() or None
-        try:
-            ctx = self._mp_ctx
-            inq = ctx.Queue()
-            proc = ctx.Process(
-                target=_session_worker_main,
-                args=(inq, self._outq, self._node_limit,
-                      self._use_kernel, self._budget_s,
-                      widx, generation, fault_spec),
-                daemon=True,
-            )
-            proc.start()
-        except (OSError, PermissionError, ValueError, ImportError,
-                AttributeError):
-            return False
-        with self._io:
-            try:
-                for key, space in self._mirror.items():
-                    schema, fds, nl, bs, rows, weights = space
-                    inq.put(("open", key, schema, fds, nl, bs))
-                    inq.put(("reset", key, dict(rows), dict(weights)))
-            except (OSError, ValueError):
-                try:
-                    proc.terminate()
-                except OSError:
-                    pass
-                return False
-            with self._cond:
-                old_inq = self._inqs[widx]
-                self._inqs[widx] = inq
-                self._procs[widx] = proc
-                self._gens[widx] = generation
-                self._dead.discard(widx)
-                self._counters["respawns"] += 1
-                self._cond.notify_all()
-        # Retire the dead incarnation's queue so its feeder thread can
-        # never block teardown.
-        try:
-            while True:
-                old_inq.get_nowait()
-        except Exception:
-            pass
-        try:
-            old_inq.cancel_join_thread()
-            old_inq.close()
-        except Exception:
-            pass
-        self._recorder.count("pool.respawn")
-        return True
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def _shutdown(self, force: bool = False) -> None:
-        import threading
-
-        self._stop.set()
-        collector = self._collector
-        if collector is not None and collector is not threading.current_thread():
-            collector.join(timeout=2.0)
-        self._collector = None
-        for inq in self._inqs:
-            try:
-                inq.put_nowait(("stop",))
-            except Exception:
-                pass
-        for proc in self._procs:
-            try:
-                proc.join(timeout=0.1 if force else 2.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=0.5)
-            except (OSError, ValueError, AssertionError):
-                pass
-        # Drain leftover items (queued solves from a partial dispatch,
-        # unread results) and detach the feeder threads so repeated
-        # close() calls — including via __del__ at interpreter teardown —
-        # can never block on a queue join.
-        for q in [*self._inqs, self._outq]:
-            if q is None:
-                continue
-            try:
-                while True:
-                    q.get_nowait()
-            except Exception:
-                pass
-            try:
-                q.cancel_join_thread()
-                q.close()
-            except Exception:
-                pass
-        self._procs = []
-        self._inqs = []
-        self._outq = None
-        with self._cond:
-            self._respawn_at.clear()
-            self._respawning.clear()
-            self._gens = []
-            for seq in list(self._pending):
-                del self._pending[seq]
-                self._done[seq] = (None, None, 0.0, "worker pool closed")
-            self._cond.notify_all()
-
-    def close(self) -> None:
-        """Stop the workers; non-blocking and safe to call repeatedly."""
-        if not self._started:
-            return
-        self._broken = True
-        if self._closed:
-            return
-        self._closed = True
-        self._shutdown()
-
-    def __enter__(self) -> "PersistentWorkerPool":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass
+    def _inqs(self) -> List:
+        return [h.inq for h in self._handles if h is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -944,23 +1171,14 @@ def _solve_s_kept(
     raise ValueError(f"unknown portfolio method {method!r}")
 
 
-def _s_worker(task) -> Tuple[Tuple[TupleId, ...], str, float]:
-    table, fds, method, node_limit, use_kernel, budget_s = task
-    _kernel.set_enabled(use_kernel)
-    start = _perf_counter()
-    kept, effective = _solve_s_kept(
-        table, fds, method, node_limit, budget_s=budget_s
-    )
-    return kept, effective, _perf_counter() - start
-
-
 def coded_component_table(
     schema: Tuple[str, ...],
     ids: Tuple[TupleId, ...],
     columns: Tuple,
     weights: Tuple[float, ...],
 ) -> Table:
-    """Rebuild a worker-side sub-table from shipped column-code arrays.
+    """The sub-table a worker solves for a coded component: rows are the
+    column codes of :meth:`~repro.core.decompose.Component.code_payload`.
 
     The values are the integer codes themselves: FD satisfaction — and
     every order-sensitive choice the S-repair solvers make — observes
@@ -979,20 +1197,50 @@ def coded_component_table(
     )
 
 
-def _s_worker_coded(task) -> Tuple[Tuple[TupleId, ...], str, float]:
-    schema, ids, columns, weights, fds, method, node_limit, use_kernel, \
-        budget_s = task
-    _kernel.set_enabled(use_kernel)
-    table = coded_component_table(schema, ids, columns, weights)
-    start = _perf_counter()
-    kept, effective = _solve_s_kept(
-        table, fds, method, node_limit, budget_s=budget_s
-    )
-    return kept, effective, _perf_counter() - start
+#: Namespace keys for batch solves (one per clean / u_repair call).
+_BATCH_KEYS = _iter_count()
 
 
-#: Namespace keys for executor-routed batch solves (one per clean call).
-_EXECUTOR_KEYS = _iter_count()
+def _component_rows(decomp: Decomposition, coded: bool):
+    """The rows a batch namespace ships: only the conflicting
+    components' tuples — the conflict-free rest never reaches a solver —
+    as column codes (:meth:`~repro.core.decompose.Component.code_payload`)
+    when *coded* and the index carries a codec.  Codes preserve the
+    value equality pattern and the row order, which is all an S-repair
+    solver observes (see :func:`coded_component_table`)."""
+    codec = getattr(decomp.index, "_codec", None) if coded else None
+    rows: Dict = {}
+    weights: Dict = {}
+    for component in decomp.components:
+        if codec is None:
+            table = component.table
+            rows.update(table.rows())
+            weights.update(table.weights())
+        else:
+            ids, columns, column_weights = component.code_payload(codec)
+            rows.update(zip(ids, zip(*columns)))
+            weights.update(zip(ids, column_weights))
+    return rows, weights
+
+
+def _executor_solve(executor, schema, fds: FDSet, rows, weights,
+                    tasks: Sequence[Tuple], node_limit: int):
+    """Ship *rows* into a per-call namespace on *executor* and solve
+    *tasks* there; ``None`` when the executor is unusable or fails —
+    callers then solve serially, which is byte-identical because the
+    solvers are pure.  An executor not started yet receives the
+    namespace with its slots' initial mirror."""
+    key = f"batch-{next(_BATCH_KEYS)}"
+    try:
+        if (executor.open_session(key, schema, fds, node_limit=node_limit)
+                and executor.broadcast(("reset", rows, weights), key=key)
+                and (executor.alive or executor.start())):
+            return executor.solve(tasks, timeout=None, key=key)
+    except RuntimeError:
+        pass
+    finally:
+        executor.drop_session(key)
+    return None
 
 
 def solve_components(
@@ -1022,12 +1270,13 @@ def solve_components(
 
     The scheduling seam shared by :func:`decomposed_s_repair` and
     :func:`repro.pipeline.clean` (which derives its dirtiness report from
-    the same solve instead of bracketing components twice).  Serial
-    execution reuses the projected sub-indexes; parallel workers rebuild
-    them from the shipped sub-tables (equivalent by the index-rebuild
-    property).  When the parent index is kernel-backed, components ship
-    as column-code arrays instead of sub-``Table`` dicts (see
-    :func:`coded_component_table`) — same kept ids, smaller payloads.
+    the same solve instead of bracketing components twice).  Two paths:
+    serial execution reuses the projected sub-indexes; executor
+    execution ships the conflicting components' rows once into a
+    per-call namespace (column codes when the index is kernel-backed,
+    see :func:`_component_rows`) and dispatches id-list tasks in the
+    order above, the workers rebuilding sub-indexes (equivalent by the
+    index-rebuild property).
 
     With an enabled *recorder* (:mod:`repro.obs`), one ``solve`` trace
     record is emitted per component carrying the plan evidence
@@ -1037,12 +1286,13 @@ def solve_components(
     path.  The default :data:`repro.obs.NULL_RECORDER` costs one
     attribute check.
 
-    An *executor* (a :class:`repro.shard.ShardedExecutor`, or anything
-    duck-typing the pool seam plus ``attach_table``) takes precedence
-    over *parallel*: the table ships once into a per-call namespace and
-    components route as id-list tasks.  Pure solvers keep the results
-    byte-identical to serial; any executor failure falls back to the
-    local paths below.
+    The executor is *executor* when given (a
+    :class:`repro.shard.ShardedExecutor`, a shared
+    :class:`PersistentWorkerPool`, or anything duck-typing their
+    namespace seam), else a short-lived :class:`PersistentWorkerPool`
+    of :func:`resolve_workers` processes when *parallel* asks for more
+    than one.  Pure solvers keep the results byte-identical to serial;
+    any executor failure falls back to the serial path.
     """
     rec = _obs.resolve(recorder)
     count = len(methods)
@@ -1062,49 +1312,26 @@ def solve_components(
     components = decomp.components
     workers = resolve_workers(parallel, count)
     ordered = None
-    path = None
-    if executor is not None and count and (
-        getattr(executor, "alive", False) or executor.start()
-    ):
-        key = f"clean-{next(_EXECUTOR_KEYS)}"
-        if executor.attach_table(key, decomp.table, decomp.fds,
-                                 node_limit=node_limit):
-            tasks = [
-                (components[i].ids, methods[i]) if budgets[i] is None
-                else (components[i].ids, methods[i], budgets[i])
-                for i in order
-            ]
-            try:
-                ordered = executor.solve(tasks, key=key)
-                path = getattr(executor, "executor_kind", "executor")
-            except RuntimeError:
-                ordered = None  # solver/transport failure: solve locally
-            finally:
-                executor.drop_session(key)
+    owned = None
+    if executor is None and workers > 1:
+        executor = owned = PersistentWorkerPool(workers, node_limit=node_limit)
+    if executor is not None and count:
+        tasks = [
+            (components[i].ids, methods[i]) if budgets[i] is None
+            else (components[i].ids, methods[i], budgets[i])
+            for i in order
+        ]
+        try:
+            ordered = _executor_solve(
+                executor, decomp.table.schema, decomp.fds,
+                *_component_rows(decomp, coded=True), tasks, node_limit,
+            )
+        finally:
+            if owned is not None:
+                owned.close()
+    path = "serial"
     if ordered is not None:
-        pass
-    elif workers > 1:
-        # The global kernel flag travels inside each task, as does the
-        # exact budget: workers under spawn/forkserver re-import this
-        # module and would otherwise run the kernel paths even under
-        # --no-kernel (and solve without the requested escape hatch).
-        use_kernel = _kernel.enabled()
-        codec = getattr(decomp.index, "_codec", None)
-        if codec is not None:
-            schema = decomp.table.schema
-            tasks = [
-                (schema, *components[i].code_payload(codec), decomp.fds,
-                 methods[i], node_limit, use_kernel, budgets[i])
-                for i in order
-            ]
-            ordered = map_components(_s_worker_coded, tasks, parallel)
-        else:
-            tasks = [
-                (components[i].table, decomp.fds, methods[i], node_limit,
-                 use_kernel, budgets[i])
-                for i in order
-            ]
-            ordered = map_components(_s_worker, tasks, parallel)
+        path = getattr(executor, "executor_kind", "executor")
     else:
         timed = rec.enabled
         ordered = []
@@ -1121,8 +1348,6 @@ def solve_components(
     for i, outcome in zip(order, ordered):
         outcomes[i] = outcome
     if rec.enabled:
-        if path is None:
-            path = "pool" if workers > 1 else "serial"
         for i, (_kept, effective, secs) in enumerate(outcomes):
             component = components[i]
             rec.solve_record(
@@ -1281,12 +1506,6 @@ def _solve_u_component(
     return cells, result.optimal, result.ratio_bound, result.method
 
 
-def _u_worker(task):
-    ordinal, table, fds, allow_exact_search, exact_budget, use_kernel = task
-    _kernel.set_enabled(use_kernel)
-    return _solve_u_component(ordinal, table, fds, allow_exact_search, exact_budget)
-
-
 def decomposed_u_repair(
     table: Table,
     fds: FDSet,
@@ -1322,14 +1541,25 @@ def decomposed_u_repair(
             component_count=0,
         )
     workers = resolve_workers(parallel, decomp.component_count)
+    outcomes = None
     if workers > 1:
+        # Real values, not codes: replacement values come from the
+        # active domain.
         tasks = [
-            (c.ordinal, c.table, fds, allow_exact_search, exact_budget,
-             _kernel.enabled())
+            (c.ids, U_TASK, (c.ordinal, allow_exact_search, exact_budget))
             for c in decomp.components
         ]
-        outcomes = map_components(_u_worker, tasks, parallel)
-    else:
+        pool = PersistentWorkerPool(workers)
+        try:
+            solved = _executor_solve(
+                pool, table.schema, fds,
+                *_component_rows(decomp, coded=False), tasks, 2000,
+            )
+        finally:
+            pool.close()
+        if solved is not None:
+            outcomes = [outcome[:4] for outcome in solved]
+    if outcomes is None:
         outcomes = [
             _solve_u_component(
                 c.ordinal, c.table, fds, allow_exact_search, exact_budget,

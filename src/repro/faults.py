@@ -32,10 +32,11 @@ kills the original process and spares the supervisor's replacement
 
 Named sites (context keys in parentheses):
 
-- ``worker.solve`` (worker, generation, solve, key, method) — in a pool
-  worker, before executing a solve request.  ``kill`` exits the process
-  with :data:`KILL_EXIT_CODE`; ``raise`` surfaces as a worker-side solve
-  error; ``delay`` stalls the solve (drives per-solve timeouts).
+- ``worker.solve`` (worker, generation, solve, key, method) — in a
+  worker (pool worker or shard host), before executing a solve
+  request.  ``kill`` exits the process with :data:`KILL_EXIT_CODE`;
+  ``raise`` surfaces as a worker-side solve error; ``delay`` stalls
+  the solve (drives per-solve timeouts).
 - ``pool.dispatch`` (worker, seq) — in the parent, before a solve
   message is enqueued.  ``drop`` silently discards the message (the
   per-solve timeout path recovers it); ``delay`` stalls dispatch.
@@ -48,7 +49,7 @@ Named sites (context keys in parentheses):
 - ``shard.rpc.send`` (shard, generation, op, seq) — in the parent,
   before an RPC line is written to a shard's pipe.  ``drop`` loses the
   request (a solve recovers via its deadline; a mirror delta heals by
-  state-error + journal replay); ``delay`` stalls dispatch.
+  state-error + mirror replay); ``delay`` stalls dispatch.
 - ``shard.rpc.recv`` (shard, generation, op, seq, msg) — in a shard
   host, after decoding a request.  ``drop`` swallows it (lost-reply ≡
   lost-request to the parent), ``raise`` ships an error reply,

@@ -620,11 +620,13 @@ def clean(
         :data:`repro.obs.NULL_RECORDER` is a guaranteed no-op costing an
         attribute check on the hot paths.
     executor:
-        Optional :class:`repro.shard.ShardedExecutor` (or any object
-        duck-typing the pool seam plus ``attach_table``) that the
-        decomposed deletions path routes per-component solves through
-        (see :func:`repro.exec.solve_components`).  Pure solvers keep
-        the result byte-identical to local execution; executor failure
+        Optional started supervised executor — a
+        :class:`repro.shard.ShardedExecutor` or a shared
+        :class:`repro.exec.PersistentWorkerPool` — that the decomposed
+        deletions path routes per-component solves through instead of
+        a short-lived pool of *parallel* workers (see
+        :func:`repro.exec.solve_components`).  Pure solvers keep the
+        result byte-identical to local execution; executor failure
         falls back locally.
     """
     if strategy not in ("deletions", "updates"):

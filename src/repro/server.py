@@ -97,10 +97,11 @@ class ServerConfig:
     #: Warm worker processes shared by every session (0 = solve
     #: in-process on the executor threads).
     workers: int = 1
-    #: Shard host subprocesses shared by every session (>0 replaces the
-    #: worker pool with a :class:`repro.shard.ShardedExecutor`: solves
-    #: route by consistent hashing with retry/failover, and execution
-    #: degrades to local when shards are exhausted).
+    #: Shard host subprocesses shared by every session (>0 puts the
+    #: shared executor on the stdio shard transport,
+    #: :class:`repro.shard.ShardedExecutor`, instead of worker processes:
+    #: same pull dispatch and supervision, and execution degrades to
+    #: local when shards are exhausted).
     shards: int = 0
     #: Per-RPC deadline on the sharded executor.
     shard_timeout_s: float = 30.0

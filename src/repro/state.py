@@ -59,6 +59,7 @@ __all__ = [
     "MemorySessionStore",
     "DiskSessionStore",
     "OpJournal",
+    "JournalCorruptError",
     "load_snapshot",
     "write_snapshot",
     "JOURNAL_NAME",
@@ -175,6 +176,12 @@ class DiskSessionStore(SessionStore):
 # The op journal
 # ---------------------------------------------------------------------------
 
+class JournalCorruptError(ValueError):
+    """A journal record that cannot be decoded and is not a torn tail:
+    recovery refuses to replay past it rather than silently dropping
+    every acknowledged op that follows."""
+
+
 class OpJournal:
     """Append-only, fsync-batched JSONL op log with atomic compaction.
 
@@ -211,11 +218,27 @@ class OpJournal:
         self.fsyncs = 0
         self.rotations = 0
         self.appends_since_snapshot = 0
+        self._cut_torn_tail()
         try:
             self.bytes = os.path.getsize(path)
         except OSError:
             self.bytes = 0
         self._open_handle()
+
+    def _cut_torn_tail(self) -> None:
+        """Truncate an undecodable final line (a crash mid-append) before
+        appending, so a torn tail never ends up mid-file."""
+        try:
+            with open(self.path, "rb") as handle:
+                data = handle.read()
+        except OSError:
+            return
+        body = data.rstrip()
+        start = body.rfind(b"\n") + 1
+        if start >= len(body) or _decode_record(body[start:]) is not None:
+            return
+        with open(self.path, "r+b") as handle:
+            handle.truncate(start)
 
     def _open_handle(self) -> None:
         self._handle = open(self.path, "a", encoding="utf-8")
@@ -301,32 +324,41 @@ class OpJournal:
                 self._handle = None
 
     @staticmethod
-    def load(path: str) -> Tuple[List[Dict[str, object]], int]:
-        """Read every intact record from a journal file.
+    def load(path: str, live: bool = True) -> Tuple[List[Dict[str, object]], int]:
+        """Read every record from a journal file; ``(records, last_seq)``.
 
-        Tolerates a torn final line (a crash mid-write): reading stops
-        at the first undecodable line.  Returns ``(records, last_seq)``.
+        The *live* segment may end in one torn line (a crash mid-write),
+        which is skipped.  Any other undecodable line — one followed by
+        more records, or one anywhere in a rotated segment (``live=False``,
+        closed cleanly by compaction) — raises
+        :class:`JournalCorruptError` naming the file and line.
         """
         records: List[Dict[str, object]] = []
         last_seq = 0
         try:
-            handle = open(path, "r", encoding="utf-8")
+            handle = open(path, "rb")
         except OSError:
             return records, last_seq
+        torn = None
         with handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
+            for lineno, line in enumerate(handle, 1):
+                if not line.strip():
                     continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    break  # torn tail from a crash mid-append
-                if not isinstance(record, dict) or "seq" not in record:
+                if torn is not None:
                     break
+                record = _decode_record(line)
+                if record is None:
+                    torn = lineno
+                    continue
                 records.append(record)
                 last_seq = max(last_seq, int(record["seq"]))
-        return records, last_seq
+            else:
+                if torn is None or live:
+                    return records, last_seq
+        where = "before intact records" if live else "in a rotated segment"
+        raise JournalCorruptError(
+            f"{path}:{torn}: undecodable journal record {where}"
+        )
 
     @staticmethod
     def chain_paths(path: str, keep: int) -> List[str]:
@@ -346,12 +378,24 @@ class OpJournal:
         records: List[Dict[str, object]] = []
         last_seq = 0
         for segment in OpJournal.chain_paths(path, keep):
-            seg_records, seg_last = OpJournal.load(segment)
+            seg_records, seg_last = OpJournal.load(segment, segment == path)
             for record in seg_records:
                 if int(record["seq"]) > last_seq:
                     records.append(record)
             last_seq = max(last_seq, seg_last)
         return records, last_seq
+
+
+def _decode_record(line: bytes) -> Optional[Dict[str, object]]:
+    """One journal record, or ``None`` when *line* does not decode."""
+    try:
+        record = json.loads(line)
+        if isinstance(record, dict):
+            int(record["seq"])
+            return record
+    except (ValueError, TypeError, KeyError):
+        pass
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.core.table import Table
 from repro.core.urepair import u_repair
 from repro.core.violations import satisfies
 from repro.datagen.synthetic import clustered_conflicts_table
-from repro.exec import map_components, resolve_workers
+from repro.exec import resolve_workers
 from repro.io.tables import table_to_csv
 from repro.testing import random_small_table
 
@@ -224,13 +224,6 @@ class TestExecLayer:
         assert resolve_workers(2, 10) == 2
         assert resolve_workers(8, 3) == 3
 
-    def test_map_components_preserves_order(self):
-        tasks = list(range(20))
-        assert map_components(_square, tasks, parallel=4) == [
-            x * x for x in tasks
-        ]
-        assert map_components(_square, tasks) == [x * x for x in tasks]
-
     def test_table_pickle_drops_cache(self):
         import pickle
 
@@ -240,7 +233,3 @@ class TestExecLayer:
         assert clone == table
         assert clone.ids() == table.ids()
         assert clone.conflict_index(HARD).num_edges == table.conflict_index(HARD).num_edges
-
-
-def _square(x):
-    return x * x

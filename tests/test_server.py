@@ -740,6 +740,34 @@ def test_pool_namespaces_isolate_sessions():
         pool.close()
 
 
+def test_pool_workers_die_on_terminate_despite_parent_sigterm_handler():
+    """The daemon installs a SIGTERM handler before its pool forks; the
+    workers must not inherit it, or terminating a stuck worker (the
+    per-solve deadline failover) would be a no-op."""
+    import signal
+
+    if not _pool_available():
+        pytest.skip("subprocess support unavailable")
+    previous = signal.signal(signal.SIGTERM, lambda *_: None)
+    try:
+        pool = PersistentWorkerPool(1)
+        assert pool.start()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    try:
+        # One solve round trip: the worker is past its start-up code.
+        assert pool.open_session("k", SCHEMA, FDSet("A -> B"))
+        assert pool.broadcast(("reset", {1: ("a", "b", "c")}, {1: 1.0}),
+                              key="k")
+        pool.solve([((1,), "approx")], key="k")
+        [proc] = pool._procs
+        proc.terminate()
+        proc.join(timeout=5.0)
+        assert not proc.is_alive()
+    finally:
+        pool.close()
+
+
 # ---------------------------------------------------------------------------
 # CLI: fdrepair stream survives malformed batches
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from repro.faults import FaultPlan, FaultRule
 from repro.pipeline import clean
 from repro.protocol import apply_session_op
 from repro.session import RepairSession
-from repro.shard import HashRing, ShardedExecutor
+from repro.shard import ShardedExecutor
 
 SCHEMA = ("A", "B", "C")
 FDS = FDSet("A -> B; B -> C")
@@ -66,44 +66,6 @@ def _executor(shards, **kwargs):
         ex.close()
         pytest.skip("platform cannot start shard subprocesses")
     return ex
-
-
-# ---------------------------------------------------------------------------
-# Consistent-hash ring
-# ---------------------------------------------------------------------------
-
-
-class TestHashRing:
-    KEYS = [f"key-{i}".encode() for i in range(200)]
-
-    def test_deterministic_across_instances(self):
-        a = HashRing((0, 1, 2))
-        b = HashRing((2, 0, 1))  # construction order must not matter
-        assert [a.route(k) for k in self.KEYS] == [
-            b.route(k) for k in self.KEYS
-        ]
-
-    def test_membership_change_moves_only_the_lost_arc(self):
-        full = HashRing((0, 1, 2))
-        survivors = HashRing((0, 2))
-        moved = 0
-        for key in self.KEYS:
-            before = full.route(key)
-            after = survivors.route(key)
-            if before == 1:
-                assert after in (0, 2)
-            else:
-                # The consistent-hashing contract: keys on surviving
-                # members' arcs do not move when a member dies.
-                assert after == before
-                moved += before != after
-        assert moved == 0
-
-    def test_empty_ring(self):
-        ring = HashRing(())
-        assert not ring
-        with pytest.raises(IndexError):
-            ring.route(b"anything")
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +267,50 @@ def test_chaos_identity_under_shard_kills_and_dropped_rpcs():
 
 
 # ---------------------------------------------------------------------------
+# Pull dispatch, on both transports
+# ---------------------------------------------------------------------------
+
+
+def _slow_slot_zero(transport):
+    """An executor whose slot 0 stalls ~1 s on every solve."""
+    from repro.exec import PersistentWorkerPool
+
+    if transport == "mp":
+        plan = FaultPlan([FaultRule("worker.solve", "delay", delay_s=1.0,
+                                    times=1000, match={"worker": 0})])
+        ex = PersistentWorkerPool(2, faults=plan)
+    else:
+        plan = FaultPlan([FaultRule("shard.rpc.recv", "delay", delay_s=1.0,
+                                    times=1000,
+                                    match={"shard": 0, "op": "solve"})])
+        ex = ShardedExecutor(2, faults=plan)
+    if not ex.start():
+        ex.close()
+        pytest.skip("platform cannot start executor subprocesses")
+    return ex
+
+
+@pytest.mark.parametrize("transport", ["mp", "stdio"])
+def test_idle_slot_drains_the_queue_while_slot_zero_stalls(transport):
+    """A slot pulls its next solve only when it has none outstanding:
+    while slot 0 sits on its first solve, slot 1 drains the other five,
+    so the batch costs one stall — push placement that leaves ~3 solves
+    on slot 0 costs three."""
+    import time
+
+    table = _conflict_table(clusters=6, size=10)
+    expected = clean(table, FDS).cleaned.to_string()
+    with _slow_slot_zero(transport) as ex:
+        start = time.monotonic()
+        got = clean(table, FDS, executor=ex)
+        elapsed = time.monotonic() - start
+        stats = ex.supervision_stats()
+    assert got.cleaned.to_string() == expected
+    assert elapsed < 2.0, f"slot 0 held the batch for {elapsed:.2f}s"
+    assert stats["rpcs"] == 6  # one send per solve: nothing retried
+
+
+# ---------------------------------------------------------------------------
 # Executor failure modes at the pool seam
 # ---------------------------------------------------------------------------
 
@@ -460,6 +466,79 @@ class TestJournalRotation:
         result = recovered.run_op(entry, "repair", {})
         assert result["tuples"] > 0
         recovered.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Journal corruption: torn tails tolerated, damage detected
+# ---------------------------------------------------------------------------
+
+
+def _journal_lines(path, lines):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("".join(lines))
+
+
+def _record(seq):
+    return json.dumps({"seq": seq, "op": "append", "tenant": "t",
+                       "session": "s", "payload": {}}) + "\n"
+
+
+class TestJournalCorruption:
+    def test_torn_final_line_is_tolerated(self, tmp_path):
+        from repro.state import OpJournal
+
+        path = str(tmp_path / "journal.jsonl")
+        _journal_lines(path, [_record(1), _record(2), '{"seq": 3, "op'])
+        records, last_seq = OpJournal.load(path)
+        assert [r["seq"] for r in records] == [1, 2]
+        assert last_seq == 2
+
+    def test_damage_before_intact_records_fails_naming_file_and_line(
+            self, tmp_path):
+        """One damaged record mid-file must not silently drop every
+        acknowledged op after it."""
+        from repro.state import JournalCorruptError, OpJournal
+
+        path = str(tmp_path / "journal.jsonl")
+        _journal_lines(path, [_record(1), "#garbage#\n", _record(3)])
+        with pytest.raises(JournalCorruptError, match=f"{path}:2"):
+            OpJournal.load(path)
+
+    def test_damage_in_a_rotated_segment_fails(self, tmp_path):
+        from repro.state import JournalCorruptError, OpJournal
+
+        path = str(tmp_path / "journal.jsonl")
+        _journal_lines(path + ".1", [_record(1), '{"seq": 2'])
+        _journal_lines(path, [_record(3)])
+        with pytest.raises(JournalCorruptError, match=rf"{path}\.1:2"):
+            OpJournal.load_chain(path, keep=1)
+
+    def test_reopening_cuts_a_torn_tail_before_appending(self, tmp_path):
+        """A torn tail is healed when the journal reopens, so new
+        appends never bury it mid-file."""
+        from repro.state import OpJournal
+
+        path = str(tmp_path / "journal.jsonl")
+        _journal_lines(path, [_record(1), '{"seq": 2, "op'])
+        journal = OpJournal(path, start_seq=1)
+        journal.append("append", "t", "s", {})
+        journal.close()
+        records, last_seq = OpJournal.load(path)
+        assert [r["seq"] for r in records] == [1, 2]
+
+    def test_recover_dry_run_reports_corruption(self, tmp_path, capsys):
+        import os
+
+        from repro.cli import main as cli_main
+        from repro.state import JOURNAL_NAME
+
+        state = tmp_path / "state"
+        os.makedirs(state)
+        path = str(state / JOURNAL_NAME)
+        _journal_lines(path, [_record(1), "#garbage#\n", _record(3)])
+        rc = cli_main(["recover", "--state-dir", str(state), "--dry-run"])
+        assert rc == 1
+        assert f"{path}:2" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
