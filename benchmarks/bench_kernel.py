@@ -1,9 +1,8 @@
 """ISSUE-4/ISSUE-5 gates — the columnar kernel vs the dict reference.
 
 Acceptance gates, all measured best-of-5 after a warm-up run
-(:func:`conftest.measure_best`), with the dict reference paths forced
-via ``kernel.disabled()`` / ``use_kernel=False`` as the comparison arm
-(the CLI's ``--no-kernel``):
+(:func:`conftest.measure_best`), with the dict reference paths of
+:class:`repro.testing.ReferenceConflictIndex` as the comparison arm:
 
 * **Exact component solves ≤ 64** (clustered-marriage-10k component
   mix): the memoised bitset branch & bound must be ≥ 3× faster than the
@@ -33,9 +32,7 @@ import random
 
 import pytest
 
-from repro.core import kernel
 from repro.core.approx import approx_s_repair, greedy_s_repair
-from repro.core.conflict_index import ConflictIndex
 from repro.core.decompose import decompose
 from repro.core.exact import exact_cover_of_index
 from repro.core.fd import FDSet
@@ -43,6 +40,7 @@ from repro.core.table import Table
 from repro.datagen.synthetic import clustered_conflicts_table
 from repro.graphs.vertex_cover import exact_min_weight_vertex_cover
 from repro.pipeline import assess
+from repro.testing import ReferenceConflictIndex
 
 from conftest import measure_best, print_table, record_bench
 
@@ -184,7 +182,7 @@ def test_array_approx_loops_2x_on_marriage_10k(benchmark):
     kernel_index = table.conflict_index(MARRIAGE)
     assert kernel_index._kernel is not None
     dict_table = Table(table.schema, table.rows(), table.weights())
-    dict_index = ConflictIndex(dict_table, MARRIAGE, use_kernel=False)
+    dict_index = ReferenceConflictIndex(dict_table, MARRIAGE)
 
     def arm(tab, index):
         def run():
@@ -237,21 +235,22 @@ def test_kernel_build_and_assess_2x_on_chain_30k(benchmark):
     """
     runs = 6  # 1 warm-up + 5 timed, per arm
 
-    def arm(use_kernel):
+    def arm(reference):
         tables = iter([_chain_30k() for _ in range(runs)])
 
         def run():
             table = next(tables)
-            if use_kernel:
+            if not reference:
                 return assess(table, CHAIN)
-            with kernel.disabled():
-                return assess(table, CHAIN)
+            return assess(
+                table, CHAIN, index=ReferenceConflictIndex(table, CHAIN)
+            )
 
         return run
 
-    kernel_report, kernel_s, kernel_runs = measure_best(arm(True))
-    dict_report, dict_s, _ = measure_best(arm(False))
-    benchmark.pedantic(arm(True), rounds=1, iterations=1)
+    kernel_report, kernel_s, kernel_runs = measure_best(arm(False))
+    dict_report, dict_s, _ = measure_best(arm(True))
+    benchmark.pedantic(arm(False), rounds=1, iterations=1)
 
     speedup = dict_s / kernel_s
     print_table(
@@ -291,9 +290,7 @@ def test_bye_and_components_fast_paths_identical(benchmark):
     fast_components, fast_s, _ = measure_best(index.components, repeats=3)
     fast_cover = bar_yehuda_even(index)
 
-    from repro.core.conflict_index import ConflictIndex
-
-    dict_index = ConflictIndex(_chain_30k(), CHAIN, use_kernel=False)
+    dict_index = ReferenceConflictIndex(_chain_30k(), CHAIN)
     slow_components, slow_s, _ = measure_best(dict_index.components, repeats=3)
     slow_cover = bar_yehuda_even(dict_index)
 

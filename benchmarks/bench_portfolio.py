@@ -29,20 +29,20 @@ Gates, all measured best-of-5 after a warm-up run
   a lower bound strictly above the matching bound, and the report-level
   lower bound must beat the matching-only sum.
 * **Identity**: under the global budget the scheduled repair is
-  byte-identical serial vs ``parallel=4`` and kernel vs ``--no-kernel``
-  (the plan is computed once up front and shipped with the tasks).
+  byte-identical serial vs ``parallel=4`` and kernel vs the dict
+  reference index of :mod:`repro.testing` (the plan is computed once up front and shipped with the tasks).
 
 Results land in ``BENCH_portfolio.json``; the committed baseline doubles
 as the CI regression reference (the workflow fails on a > 30% drop of
 any gated ``speedup``).
 """
 
-from repro.core import kernel
 from repro.core.decompose import decompose
 from repro.core.fd import FDSet
 from repro.datagen.synthetic import portfolio_mix_table
 from repro.io.tables import table_to_csv
 from repro.pipeline import assess, clean
+from repro.testing import ReferenceConflictIndex
 
 from conftest import measure_best, print_table, record_bench
 
@@ -171,9 +171,10 @@ def test_scheduled_repair_identical_serial_parallel_kernel():
     assert serial.distance == parallel.distance
     assert table_to_csv(serial.cleaned) == table_to_csv(parallel.cleaned)
 
-    with kernel.disabled():
-        reference = clean(
-            _mix_table(), OVERLAY, exact_budget_s=GLOBAL_BUDGET_S
-        )
+    table = _mix_table()
+    reference = clean(
+        table, OVERLAY, exact_budget_s=GLOBAL_BUDGET_S,
+        index=ReferenceConflictIndex(table, OVERLAY),
+    )
     assert serial.distance == reference.distance
     assert table_to_csv(serial.cleaned) == table_to_csv(reference.cleaned)

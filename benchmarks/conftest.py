@@ -57,20 +57,16 @@ def bench_environment() -> Dict[str, object]:
     """The environment fingerprint stamped into every ``BENCH_*.json``.
 
     The CI regression gate compares fresh results against committed
-    baselines; a comparison across different Python versions or with the
-    kernel toggled measures the environment, not the change under test.
-    Stamping the fingerprint lets the gate *skip* (rather than fail)
-    cross-environment comparisons: python ``major.minor`` and the kernel
-    flag must match for the gate to judge, CPU count mismatches only
-    warn (they move absolute times but rarely flip a within-run
-    speedup).
+    baselines; a comparison across different Python versions measures
+    the environment, not the change under test.  Stamping the
+    fingerprint lets the gate *skip* (rather than fail) cross-environment
+    comparisons: python ``major.minor`` must match for the gate to
+    judge, CPU count mismatches only warn (they move absolute times but
+    rarely flip a within-run speedup).
     """
-    from repro.core import kernel
-
     return {
         "python": ".".join(platform.python_version_tuple()[:2]),
         "cpu_count": os.cpu_count(),
-        "kernel": kernel.enabled(),
     }
 
 

@@ -112,7 +112,6 @@ def _add_repair_options(parser: argparse.ArgumentParser) -> None:
         action="store_false",
         help="disable conflict decomposition (one global solver call)",
     )
-    _add_kernel_option(parser)
     _add_trace_option(parser)
     parser.add_argument("--out", help="write the result CSV here")
 
@@ -161,28 +160,6 @@ def _add_exact_budget_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-kernel",
-        dest="use_kernel",
-        action="store_false",
-        default=True,
-        help=(
-            "force the dict reference paths instead of the interned "
-            "columnar kernel (debugging aid; results are identical "
-            "either way, the kernel is just faster)"
-        ),
-    )
-
-
-def _apply_kernel_choice(args: argparse.Namespace) -> None:
-    """Honour ``--no-kernel`` before any conflict structure is built."""
-    from .core import kernel
-
-    if not getattr(args, "use_kernel", True):
-        kernel.set_enabled(False)
-
-
 def _add_shard_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards",
@@ -228,7 +205,6 @@ def _shard_executor_for(args: argparse.Namespace):
 
     executor = ShardedExecutor(
         shards,
-        use_kernel=getattr(args, "use_kernel", True),
         rpc_timeout_s=args.shard_timeout,
         rpc_retries=args.shard_retries,
     )
@@ -311,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_exact_budget_option(p_assess)
-    _add_kernel_option(p_assess)
     _add_trace_option(p_assess)
 
     p_srepair = sub.add_parser("s-repair", help="compute an S-repair")
@@ -379,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_shard_options(p_stream)
     _add_exact_budget_option(p_stream)
-    _add_kernel_option(p_stream)
     _add_trace_option(p_stream)
     p_stream.add_argument("--out", help="write the final repaired CSV here")
     p_stream.add_argument(
@@ -544,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
             "a 'fdrepair calibrate' fit across the fleet here"
         ),
     )
-    _add_kernel_option(p_serve)
     _add_trace_option(p_serve)
 
     p_recover = sub.add_parser(
@@ -645,7 +618,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_assess(args: argparse.Namespace) -> int:
-    _apply_kernel_choice(args)
     table = table_from_csv(args.table)
     fds = parse_fd_set(args.fds)
     recorder = _recorder_for(args)
@@ -714,7 +686,6 @@ def _print_portfolio(result: CleaningResult) -> None:
 
 
 def _run_clean(args: argparse.Namespace, strategy: str) -> CleaningResult:
-    _apply_kernel_choice(args)
     table = table_from_csv(args.table)
     fds = parse_fd_set(args.fds)
     recorder = _recorder_for(args)
@@ -818,7 +789,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from .protocol import ProtocolError, apply_session_op
     from .session import RepairSession
 
-    _apply_kernel_choice(args)
     fds = parse_fd_set(args.fds)
     if args.table:
         table = table_from_csv(args.table)
@@ -946,7 +916,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .server import RepairServer, ServerConfig, SessionManager
     from .state import JournalCorruptError
 
-    _apply_kernel_choice(args)
     config = ServerConfig(
         workers=args.parallel,
         shards=args.shards,

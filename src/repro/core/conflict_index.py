@@ -125,15 +125,12 @@ class ConflictIndex:
         "_position_shared",
         "_lazy_bucket_table",
         "_conflicting",
-        "_use_kernel",
         "_codec",
         "_kernel",
         "_mask_cache",
     )
 
-    def __init__(
-        self, table: Table, fds: FDSet, use_kernel: Optional[bool] = None
-    ) -> None:
+    def __init__(self, table: Table, fds: FDSet) -> None:
         self.fds = fds
         self._source: "weakref.ref[Table]" = weakref.ref(table)
         self._live: Dict[TupleId, float] = dict(table._weights)
@@ -159,9 +156,6 @@ class ConflictIndex:
             for fd in fds
             if not fd.is_trivial
         ]
-        if use_kernel is None:
-            use_kernel = _kernel.enabled()
-        self._use_kernel: bool = bool(use_kernel)
         self._codec: Optional[_kernel.TableCodec] = None
         self._kernel: Optional[_kernel.ConflictKernel] = None
         self._mask_cache: Optional[Tuple[List[TupleId], List[float], List[int]]] = None
@@ -170,30 +164,19 @@ class ConflictIndex:
         # O(conflicting) instead of O(|T|) — on realistic dirtiness (a
         # few % of tuples conflicting) that is the difference between
         # re-decomposing per streaming delta and scanning the whole
-        # table each time.  Each build branch derives it from what it
-        # already has in hand.
-        if self._use_kernel:
-            self._build_with_kernel(table)
-        else:
-            self._adj: Dict[TupleId, Set[TupleId]] = {
-                tid: set() for tid in self._live
-            }
-            self._lazy_bucket_table: Optional[Table] = None
-            self._buckets: Optional[List[_FDBuckets]] = []
-            for fd, _lhs_pos, rhs_pos in self._fd_specs:
-                self._buckets.append(self._build_fd_buckets(table, fd, rhs_pos))
-            self._conflicting: Set[TupleId] = {
-                tid for tid, nbrs in self._adj.items() if nbrs
-            }
+        # table each time.  The build derives it from the kernel's
+        # conflicting rows.
+        self._build(table)
 
-    def _build_with_kernel(self, table: Table) -> None:
+    def _build(self, table: Table) -> None:
         """The columnar build: intern columns once, group by combined
         integer keys, and materialise the conflict graph from the flat
         edge arrays.
 
         Produces the same live/adjacency/edge-count state as the dict
-        build (the kernel grouping is grouping by value equality, which
-        is all the dict build observes); the per-FD buckets are left
+        build of :class:`repro.testing.ReferenceConflictIndex` (the
+        kernel grouping is grouping by value equality, which is all the
+        dict build observes); the per-FD buckets are left
         lazy — most consumers (the vertex-cover solvers, decomposition)
         never read them, and :meth:`_ensure_buckets` reconstructs them
         exactly when :meth:`insert` or :meth:`violating_pairs` does.
@@ -221,45 +204,6 @@ class ConflictIndex:
         # weakref design.
         self._buckets = None
         self._lazy_bucket_table = None
-
-    def _build_fd_buckets(
-        self, table: Table, fd: FD, rhs_pos: List[int]
-    ) -> _FDBuckets:
-        """Bucket every tuple by (lhs, rhs) projection and materialise the
-        conflict edges this FD contributes.
-
-        *rhs_pos* holds the positions of the (canonically sorted) rhs
-        attributes, resolved once per FD: projecting via raw row indexing
-        keeps the build O(|T|·k) with no per-tuple attribute lookups.
-        """
-        buckets = _FDBuckets(fd)
-        adj = self._adj
-        rows = table._rows
-        for lhs_key, ids in table.group_by(fd.lhs).items():
-            if len(ids) == 1:
-                tid = ids[0]
-                row = rows[tid]
-                buckets.add(tid, lhs_key, tuple(row[i] for i in rhs_pos))
-                continue
-            group: Dict[Row, List[TupleId]] = {}
-            for tid in ids:
-                row = rows[tid]
-                rhs_key = tuple(row[i] for i in rhs_pos)
-                buckets.add(tid, lhs_key, rhs_key)
-                group.setdefault(rhs_key, []).append(tid)
-            if len(group) < 2:
-                continue
-            parts = list(group.values())
-            for i in range(len(parts)):
-                for j in range(i + 1, len(parts)):
-                    for t1 in parts[i]:
-                        adj_t1 = adj[t1]
-                        for t2 in parts[j]:
-                            if t2 not in adj_t1:
-                                adj_t1.add(t2)
-                                adj[t2].add(t1)
-                                self._num_edges += 1
-        return buckets
 
     def ensure_for(self, fds: FDSet, table: Optional[Table] = None) -> "ConflictIndex":
         """Guard for entry points accepting a prebuilt index: raise if
@@ -471,8 +415,8 @@ class ConflictIndex:
         alive/seen filters, rooted at the index's live conflicting rows
         (construction-time roots are stale after mutations, which is why
         :func:`~repro.core.kernel.components_csr` refuses patched views
-        outright).  The dict sweep below remains the reference and the
-        ``--no-kernel`` path.
+        outright).  The dict sweep below serves the kernel-less indexes
+        (projections, copies, and the test-only reference index).
         """
         kern = self._kernel_view()
         if kern is not None:
@@ -538,7 +482,7 @@ class ConflictIndex:
         (:meth:`_ensure_buckets`).  Projection therefore costs the
         adjacency filter alone.
         """
-        dup = object.__new__(ConflictIndex)
+        dup = object.__new__(type(self))
         dup.fds = self.fds
         dup._source = weakref.ref(subtable)
         live = self._live
@@ -564,12 +508,10 @@ class ConflictIndex:
         dup._removed_weight = 0.0
         dup._arity = self._arity
         dup._fd_specs = self._fd_specs
-        # Kernel view: the fast-path flag carries over (components run
-        # the bitmask BYE/exact paths); the parent's CSR arrays and
-        # codec are row-indexed against the *parent* snapshot and are
-        # not projected — the mask view rebuilds from the filtered
+        # Kernel view: the parent's CSR arrays and codec are
+        # row-indexed against the *parent* snapshot and are not
+        # projected — the mask view rebuilds from the filtered
         # adjacency in O(component) when a fast path asks for it.
-        dup._use_kernel = self._use_kernel
         dup._codec = None
         dup._kernel = None
         dup._mask_cache = None
@@ -599,10 +541,9 @@ class ConflictIndex:
         are multi-word Python ints — still C-level word arrays — so the
         view serves every component up to
         :data:`~repro.core.kernel.MAX_BITMASK_VERTICES` tuples.  ``None``
-        when the kernel is off for this index or the index is too large
-        for masks to pay off.
+        when the index is too large for masks to pay off.
         """
-        if not self._use_kernel or len(self._live) > _kernel.MAX_BITMASK_VERTICES:
+        if len(self._live) > _kernel.MAX_BITMASK_VERTICES:
             return None
         cached = self._mask_cache
         if cached is not None:
@@ -913,10 +854,10 @@ class ConflictIndex:
         because the streaming benchmarks use it as the
         snapshot-invalidate comparison arm (rebuild per delta instead of
         patch per delta).  Returns ``False`` when this index has no
-        kernel to refresh (kernel off, or a projection).
+        kernel to refresh (a projection or a copy).
         """
         codec = self._codec
-        if codec is None or not self._use_kernel:
+        if codec is None:
             return False
         n = len(codec.ids)
         row_index = codec.row_index
@@ -937,7 +878,7 @@ class ConflictIndex:
 
     def copy(self) -> "ConflictIndex":
         """An independent, mutable duplicate of the current live state."""
-        dup = object.__new__(ConflictIndex)
+        dup = object.__new__(type(self))
         dup.fds = self.fds
         dup._source = self._source
         dup._live = dict(self._live)
@@ -953,7 +894,6 @@ class ConflictIndex:
         dup._conflicting = set(self._conflicting)
         dup._arity = self._arity
         dup._fd_specs = self._fd_specs
-        dup._use_kernel = self._use_kernel
         # Neither the codec (mutable, extended by insert) nor the CSR
         # snapshot is shared with a mutable duplicate: a copy exists to
         # be mutated, and the mask view rebuilds from adjacency anyway.

@@ -53,9 +53,9 @@ def exact_cover_of_index(
 ) -> List[TupleId]:
     """Exact minimum-weight vertex cover of a live index, in table order.
 
-    The dispatch point of the exact portfolio method: a kernel-backed
-    index of at most :data:`~repro.core.kernel.MAX_BITMASK_VERTICES`
-    tuples is solved by the memoised multi-word bitset branch & bound
+    The dispatch point of the exact portfolio method: an index with a
+    mask view (at most :data:`~repro.core.kernel.MAX_BITMASK_VERTICES`
+    tuples) is solved by the memoised multi-word bitset branch & bound
     (:class:`~repro.core.kernel.BitsetVC` — no ``Graph``
     materialisation, no per-branch graph copies, components well past 64
     vertices included); anything else runs the graph-based reference.
@@ -68,11 +68,7 @@ def exact_cover_of_index(
     :class:`~repro.graphs.vertex_cover.ExactBudgetExceeded` propagates
     so callers can fall back to the polynomial bounds.
     """
-    if (
-        index._use_kernel
-        and len(index) <= node_limit
-        and len(index) <= _kernel.MAX_BITMASK_VERTICES
-    ):
+    if len(index) <= node_limit and index._mask_view() is not None:
         return _kernel.exact_cover_ids(index, budget_s=budget_s)
     cover = exact_min_weight_vertex_cover(
         index.graph(), node_limit=node_limit, budget_s=budget_s

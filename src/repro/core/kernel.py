@@ -58,17 +58,17 @@ This module is the representation-level answer:
   (full CSR rebuild over the live rows) once churn passes
   :meth:`~ConflictKernel.should_compact`.
 
-The dict paths everywhere remain the semantic reference: the kernel is
-an acceleration layer, switchable off globally (:func:`set_enabled`,
-the CLI's ``--no-kernel``) or per block (:func:`disabled`), and every
-result is byte-identical either way.
+Every conflict index is built here; there is no runtime switch.  The
+dict paths remain the semantic reference as a test oracle:
+:class:`repro.testing.ReferenceConflictIndex` builds by dict grouping
+and turns every array fast path off, and the property suites pin each
+fast path byte-identical to it.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from contextlib import contextmanager
 from typing import (
     Dict,
     Iterable,
@@ -90,9 +90,6 @@ __all__ = [
     "ConflictKernel",
     "BitsetVC",
     "ExactBudgetExceeded",
-    "enabled",
-    "set_enabled",
-    "disabled",
     "build_conflict_edges",
     "bitmask_vertex_cover",
     "bye_cover_csr",
@@ -126,38 +123,6 @@ _BUDGET_CHECK_INTERVAL = 256
 #: (O(E·√V)-ish in practice); past this size the polynomial matching
 #: bound stands alone — the bracket stays valid, just looser.
 LP_BOUND_MAX_VERTICES = 1024
-
-_ENABLED = True
-
-
-def enabled() -> bool:
-    """True iff the columnar kernel is globally enabled (the default)."""
-    return _ENABLED
-
-
-def set_enabled(value: bool) -> None:
-    """Switch the kernel on/off globally (the CLI's ``--no-kernel``).
-
-    Only affects structures built *after* the switch: a
-    :class:`~repro.core.conflict_index.ConflictIndex` snapshots the flag
-    at construction, so one index is consistently kernel-backed or
-    consistently dict-backed for its whole life.
-    """
-    global _ENABLED
-    _ENABLED = bool(value)
-
-
-@contextmanager
-def disabled() -> Iterator[None]:
-    """Run a block on the dict reference paths (tests, benchmarks)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
 
 # ---------------------------------------------------------------------------
 # Column interning

@@ -47,6 +47,7 @@ the serial path rather than failing.
 
 from __future__ import annotations
 
+import os
 import signal
 import threading
 from collections import deque
@@ -58,7 +59,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import faults as _faults
 from . import obs as _obs
-from .core import kernel as _kernel
 from .core.decompose import (
     EXACT_COMPONENT_THRESHOLD,
     ComponentPlan,
@@ -287,7 +287,7 @@ class SupervisedExecutor:
     """Long-lived worker slots behind one pull queue, with supervision.
 
     A *transport* spawns slot processes and moves messages: ``open(
-    on_reply)``, ``spawn(slot, generation, use_kernel, faults, replay)``
+    on_reply)``, ``spawn(slot, generation, faults, replay)``
     → handle (the replay messages delivered first, before ``spawn``
     returns), ``encode(message)``, ``close()``; a handle offers
     ``send``, ``alive``, ``wait_ready``, ``stop``, ``close(timeout)``,
@@ -333,7 +333,6 @@ class SupervisedExecutor:
 
     def __init__(self, transport, slots: int, schema=None,
                  fds: Optional[FDSet] = None, node_limit: int = 2000,
-                 use_kernel: Optional[bool] = None,
                  budget_s: Optional[float] = None, *,
                  supervise: bool = True,
                  deadline_s: Optional[float] = None,
@@ -355,9 +354,6 @@ class SupervisedExecutor:
         self._fds = fds
         self._node_limit = node_limit
         self._budget_s = budget_s
-        self._use_kernel = (
-            _kernel.enabled() if use_kernel is None else bool(use_kernel)
-        )
         self._supervise = bool(supervise)
         self._deadline_s = deadline_s
         self._resends = max(0, int(resends))
@@ -446,7 +442,7 @@ class SupervisedExecutor:
                 self._transport.open(self._on_reply)
                 for slot in range(self._n):
                     self._handles[slot] = self._transport.spawn(
-                        slot, 0, self._use_kernel, self._faults, replay
+                        slot, 0, self._faults, replay
                     )
             except _SPAWN_ERRORS:
                 return self._fail_start()
@@ -911,8 +907,7 @@ class SupervisedExecutor:
         with self._io:
             try:
                 handle = self._transport.spawn(
-                    slot, generation, self._use_kernel, self._faults,
-                    self._replay(),
+                    slot, generation, self._faults, self._replay(),
                 )
             except _SPAWN_ERRORS:
                 handle = None
@@ -945,17 +940,39 @@ class SupervisedExecutor:
 # ---------------------------------------------------------------------------
 
 
-def _mp_worker_main(inq, outq, slot, generation, use_kernel, fault_spec,
+def _exit_with_parent() -> None:
+    """Exit this worker as soon as the process that started it dies.
+
+    A SIGKILLed owner never sends ``stop``, and nothing else would wake
+    ``inq.get``.  The parent sentinel turns readable once every copy of
+    the owner's end is closed; a later-forked sibling inherits a copy,
+    but it runs this same watch, so the youngest worker exits first and
+    releases the next.
+    """
+    import multiprocessing as mp
+    from multiprocessing.connection import wait
+
+    parent = mp.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="fdrepair-parent-watch",
+                     daemon=True).start()
+
+
+def _mp_worker_main(inq, outq, slot, generation, fault_spec,
                     replay) -> None:
-    # The kernel flag and the fault plan travel as arguments: under
-    # spawn/forkserver workers re-import this module with the flag at
-    # its default, and fault counters restart per process.  The replay
-    # rides along too — inherited, not pickled, under fork.  A worker
-    # forked from the daemon would also inherit its asyncio SIGTERM
-    # handler, which turns terminate() — the deadline failover — into
-    # a no-op.
+    # The fault plan travels as an argument: fault counters restart per
+    # process.  The replay rides along too — inherited, not pickled,
+    # under fork.  A worker forked from the daemon would also inherit
+    # its asyncio SIGTERM handler, which turns terminate() — the
+    # deadline failover — into a no-op.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    _kernel.set_enabled(use_kernel)
+    _exit_with_parent()
     worker_loop(chain(replay, iter(inq.get, None)), outq.put, slot,
                 generation, _faults.FaultPlan.from_spec(fault_spec))
 
@@ -978,14 +995,13 @@ def _retire_queue(queue) -> None:
 class _MpWorker:
     """One worker process and its input queue."""
 
-    def __init__(self, ctx, outq, slot, generation, use_kernel, faults,
-                 replay):
+    def __init__(self, ctx, outq, slot, generation, faults, replay):
         self.slot = slot
         self._faults = faults
         self.inq = ctx.Queue()
         self.proc = ctx.Process(
             target=_mp_worker_main,
-            args=(self.inq, outq, slot, generation, use_kernel,
+            args=(self.inq, outq, slot, generation,
                   faults.to_spec() or None, replay),
             daemon=True,
         )
@@ -1057,10 +1073,9 @@ class _MpTransport:
                 return
             on_reply(item)
 
-    def spawn(self, slot, generation, use_kernel, faults,
-              replay) -> _MpWorker:
-        return _MpWorker(self._ctx, self._outq, slot, generation, use_kernel,
-                         faults, replay)
+    def spawn(self, slot, generation, faults, replay) -> _MpWorker:
+        return _MpWorker(self._ctx, self._outq, slot, generation, faults,
+                         replay)
 
     @staticmethod
     def encode(message):
@@ -1093,7 +1108,6 @@ class PersistentWorkerPool(SupervisedExecutor):
 
     def __init__(self, workers: int, schema=None, fds: Optional[FDSet] = None,
                  node_limit: int = 2000,
-                 use_kernel: Optional[bool] = None,
                  budget_s: Optional[float] = None, *,
                  supervise: bool = True,
                  max_retries: int = 2,
@@ -1104,8 +1118,8 @@ class PersistentWorkerPool(SupervisedExecutor):
                  faults=None,
                  recorder=None):
         super().__init__(
-            _MpTransport(), workers, schema, fds, node_limit, use_kernel,
-            budget_s, supervise=supervise, deadline_s=solve_timeout_s,
+            _MpTransport(), workers, schema, fds, node_limit, budget_s,
+            supervise=supervise, deadline_s=solve_timeout_s,
             max_retries=max_retries, max_respawns=max_respawns,
             respawn_backoff_s=respawn_backoff_s,
             respawn_backoff_cap_s=respawn_backoff_cap_s,

@@ -151,8 +151,8 @@ def exact_min_weight_vertex_cover(
     beyond *node_limit* nodes as a guard against accidental huge inputs.
     With *budget_s* set, :class:`ExactBudgetExceeded` is raised once the
     search has run that many wall-clock seconds — the same escape hatch
-    the bitset mirror honours, so ``--no-kernel`` runs respect budgets
-    identically.
+    the bitset mirror honours, so graph-based and bitset solves respect
+    budgets identically.
     """
     if len(graph) > node_limit:
         raise ValueError(

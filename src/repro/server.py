@@ -79,6 +79,30 @@ from .state import (
 
 __all__ = ["RepairServer", "ServerConfig", "SessionManager"]
 
+#: Longest request line the TCP transport reads (its asyncio stream
+#: ``limit``; the default 64 KiB cuts off appends of ~2.7k short rows).
+#: A longer line gets one ``ok:false`` reply and is skipped through its
+#: newline; the connection stays up.
+MAX_LINE_BYTES = 8 * 1024 * 1024
+
+
+async def _read_request(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line (``b""`` at EOF), or ``None`` for a line
+    longer than the reader's limit, which is then discarded through its
+    newline so its tail is never parsed as a request."""
+    oversized = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # an unterminated last line, or b"" at EOF
+        except asyncio.LimitOverrunError as exc:
+            # The overrun bytes are buffered: drop them and keep looking.
+            oversized = True
+            await reader.readexactly(exc.consumed)
+            continue
+        return None if oversized else line
+
 
 @dataclass
 class ServerConfig:
@@ -976,7 +1000,7 @@ class RepairServer:
         stop = asyncio.ensure_future(self._shutdown.wait())
         try:
             while not self._shutdown.is_set():
-                read = asyncio.ensure_future(reader.readline())
+                read = asyncio.ensure_future(_read_request(reader))
                 # Race the read against shutdown so a drain (signal or
                 # ``shutdown`` op) interrupts an idle connection instead
                 # of waiting for its next line.
@@ -995,6 +1019,14 @@ class RepairServer:
                     line = read.result()
                 except (ConnectionError, asyncio.IncompleteReadError):
                     break
+                if line is None:
+                    self.manager.errors += 1
+                    await write({
+                        "ok": False,
+                        "error": f"request line exceeds {MAX_LINE_BYTES} "
+                                 f"bytes",
+                    })
+                    continue
                 if not line:
                     break
                 text = line.decode("utf-8", errors="replace").strip()
@@ -1024,7 +1056,7 @@ class RepairServer:
         """Start listening; returns the actual bound port (useful with
         ``port=0``).  Run :meth:`wait_closed` to block until shutdown."""
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port
+            self._handle_connection, host, port, limit=MAX_LINE_BYTES
         )
         return self._server.sockets[0].getsockname()[1]
 

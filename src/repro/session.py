@@ -252,7 +252,7 @@ class RepairSession:
         unlimited) — every exact solve is individually capped, with no
         difficulty scheduling.  May be combined with the global budget,
         in which case each scheduled slice is additionally capped.
-        Ships to the warm workers alongside the kernel flag.
+        Ships to the warm workers as their namespace budget.
     parallel:
         Worker count for solving cache misses.  With ``> 1`` the session
         keeps a :class:`~repro.exec.PersistentWorkerPool` of warm
@@ -401,13 +401,6 @@ class RepairSession:
             from .exec import DEFAULT_SESSION_KEY
 
             self._session_key = DEFAULT_SESSION_KEY
-        # When the index is kernel-backed, worker mirrors are kept in
-        # *coded* rows (the codec stays live under session deltas): the
-        # kept-id results are identical — solvers only observe the value
-        # equality pattern — and the broadcast payloads shrink to small
-        # ints.  Decided once, here, so reset and delta broadcasts agree
-        # for the pool's whole life.
-        self._pool_coded = self._index._codec is not None
         self._pool_disabled = False
         # Delta-maintained dirtiness bracket: per-component polynomial
         # [matching, BYE] brackets keyed by member-id tuple, invalidated
@@ -727,13 +720,14 @@ class RepairSession:
         return bound
 
     def _mirror_rows(self, ids: Iterable[TupleId]) -> Dict[TupleId, Row]:
-        """The rows a worker mirror stores for *ids*: coded when the
-        session's index carries a live codec, verbatim otherwise."""
-        if self._pool_coded:
-            coded_row = self._index._codec.coded_row
-            return {tid: coded_row(tid) for tid in ids}
-        rows = self._rows
-        return {tid: rows[tid] for tid in ids}
+        """The rows a worker mirror stores for *ids*, in the codes of the
+        session index's codec (built with the index, kept live by every
+        :meth:`~repro.core.conflict_index.ConflictIndex.insert`): the
+        kept-id results are identical — solvers only observe the value
+        equality pattern — and the broadcast payloads shrink to small
+        ints."""
+        coded_row = self._index._codec.coded_row
+        return {tid: coded_row(tid) for tid in ids}
 
     def _ensure_pool(self):
         if self._pool_disabled:

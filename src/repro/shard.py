@@ -42,7 +42,6 @@ from time import monotonic as _monotonic
 from typing import Optional, Sequence
 
 from . import faults as _faults
-from .core import kernel as _kernel
 from .exec import SupervisedExecutor, worker_loop
 from .protocol import decode_line, encode
 
@@ -123,9 +122,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--generation", type=int, default=0)
     parser.add_argument("--faults", default=None,
                         help="JSON FaultPlan spec (chaos testing)")
-    parser.add_argument("--no-kernel", action="store_true")
     args = parser.parse_args(argv)
-    _kernel.set_enabled(not args.no_kernel)
     plan = _faults.FaultPlan.from_spec(args.faults)
     out = sys.stdout
 
@@ -156,15 +153,13 @@ class ShardHost:
     thread feeding decoded results to *on_reply*, and the time of the
     shard's last traffic (heartbeat liveness)."""
 
-    def __init__(self, slot: int, generation: int, *, use_kernel: bool,
+    def __init__(self, slot: int, generation: int, *,
                  faults=_faults.NULL_PLAN, on_reply=None):
         self.slot = slot
         self.generation = generation
         self._faults = faults
         cmd = [sys.executable, "-u", "-m", "repro.shard",
                "--index", str(slot), "--generation", str(generation)]
-        if not use_kernel:
-            cmd.append("--no-kernel")
         fault_spec = faults.to_spec()
         if fault_spec:
             import json as _json
@@ -265,10 +260,9 @@ class _StdioTransport:
     def open(self, on_reply) -> None:
         self._on_reply = on_reply
 
-    def spawn(self, slot, generation, use_kernel, faults,
-              replay) -> ShardHost:
-        host = ShardHost(slot, generation, use_kernel=use_kernel,
-                         faults=faults, on_reply=self._on_reply)
+    def spawn(self, slot, generation, faults, replay) -> ShardHost:
+        host = ShardHost(slot, generation, faults=faults,
+                         on_reply=self._on_reply)
         for message in replay:
             if not host.send(self.encode(message)):
                 host.close(0.0)
@@ -309,7 +303,6 @@ class ShardedExecutor(SupervisedExecutor):
 
     def __init__(self, shards: int, schema=None, fds=None,
                  node_limit: int = 2000,
-                 use_kernel: Optional[bool] = None,
                  budget_s: Optional[float] = None, *,
                  rpc_timeout_s: float = 30.0,
                  rpc_retries: int = 2,
@@ -325,8 +318,8 @@ class ShardedExecutor(SupervisedExecutor):
                  recorder=None):
         heartbeat_s = max(0.05, float(heartbeat_interval_s))
         super().__init__(
-            _StdioTransport(), shards, schema, fds, node_limit, use_kernel,
-            budget_s, deadline_s=max(0.05, float(rpc_timeout_s)),
+            _StdioTransport(), shards, schema, fds, node_limit, budget_s,
+            deadline_s=max(0.05, float(rpc_timeout_s)),
             resends=rpc_retries, resend_backoff_s=retry_backoff_s,
             resend_backoff_cap_s=retry_backoff_cap_s,
             max_respawns=max_respawns, respawn_backoff_s=respawn_backoff_s,

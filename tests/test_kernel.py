@@ -11,8 +11,11 @@ Three contracts are pinned here:
    most 64 vertices.
 3. **Byte-identity of the kernel paths** — a kernel-backed pipeline run
    (index build, decomposition, portfolio solves, report) equals the
-   dict reference run (``kernel.disabled()`` / ``--no-kernel``) across
-   guarantee modes and both repair strategies, on random tables.
+   same run over the dict reference index
+   (:class:`repro.testing.ReferenceConflictIndex`) across guarantee
+   modes and both repair strategies, on random tables; and every array
+   fast path equals its reference loop on both the CSR view (full
+   index) and the mask view (component projection).
 """
 
 import random
@@ -33,6 +36,7 @@ from repro.graphs.vertex_cover import (
     maximalize_independent_set,
 )
 from repro.pipeline import assess, clean
+from repro.testing import ReferenceConflictIndex
 
 FD_SETS = (
     FDSet("A -> B"),
@@ -225,7 +229,7 @@ def test_multiword_exact_cover_of_index_matches_reference(data):
     weights = {i: rng.choice([1.0, 2.0, 0.5]) for i in rows}
     fds = FDSet("A -> B; B -> A")
     table = Table(SCHEMA, rows, weights)
-    index = ConflictIndex(table, fds, use_kernel=True)
+    index = ConflictIndex(table, fds)
     kept = exact_cover_of_index(index, node_limit=2000)
     reference = exact_min_weight_vertex_cover(index.graph())
     assert kept == [tid for tid in index.ids() if tid in reference]
@@ -241,8 +245,8 @@ def test_kernel_index_equals_dict_index(data):
     rng = random.Random(data.draw(st.integers(0, 10_000)))
     fds = data.draw(st.sampled_from(FD_SETS))
     table = _random_table(rng, data.draw(st.integers(0, 25)), with_fresh=False)
-    kernel_index = ConflictIndex(table, fds, use_kernel=True)
-    dict_index = ConflictIndex(table, fds, use_kernel=False)
+    kernel_index = ConflictIndex(table, fds)
+    dict_index = ReferenceConflictIndex(table, fds)
     assert kernel_index.num_edges == dict_index.num_edges
     assert kernel_index.edges() == dict_index.edges()
     assert kernel_index.components() == dict_index.components()
@@ -257,12 +261,71 @@ def test_kernel_index_equals_dict_index(data):
     assert exact_cover_of_index(kernel_index) == exact_cover_of_index(dict_index)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [{}, {1: ("x", "1", "p"), 2: ("y", "1", "p")},
+     {1: ("x", "1", "p"), 2: ("x", "2", "p")}],
+    ids=["empty", "consistent", "dirty"],
+)
+def test_every_table_index_is_kernel_built(rows):
+    """There is one production build: the cached index of any table —
+    empty, consistent, or dirty — carries a kernel view."""
+    table = Table(SCHEMA, rows)
+    assert table.conflict_index(FDSet("A -> B"))._kernel is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fast_paths_equal_reference_on_csr_and_mask_views(data):
+    """Every array fast path — BYE, greedy, maximalisation, components,
+    the matching and LP bounds, and the bitset exact cover — answers
+    exactly like its reference loop, on the full index (CSR view) and on
+    each component projection (mask view)."""
+    from repro.core.approx import greedy_s_repair
+    from repro.core.decompose import decompose
+
+    rng = random.Random(data.draw(st.integers(0, 10_000)))
+    fds = data.draw(st.sampled_from(FD_SETS))
+    table = _random_table(rng, data.draw(st.integers(0, 30)), with_fresh=False)
+    ref_table = Table(SCHEMA, table.rows(), table.weights())
+    fast = ConflictIndex(table, fds)
+    ref = ReferenceConflictIndex(ref_table, fds)
+    assert fast._kernel is not None
+    views = [(table, fast, ref_table, ref)]
+    fast_parts = decompose(table, fds, index=fast).components
+    ref_parts = decompose(ref_table, fds, index=ref).components
+    assert len(fast_parts) == len(ref_parts)
+    for fast_part, ref_part in zip(fast_parts, ref_parts):
+        assert fast_part.index._kernel is None
+        assert fast_part.index._mask_view() is not None
+        assert isinstance(ref_part.index, ReferenceConflictIndex)
+        views.append(
+            (fast_part.table, fast_part.index, ref_part.table, ref_part.index)
+        )
+    for fast_table, f, ref_table, r in views:
+        assert r._mask_view() is None
+        assert f.components() == r.components()
+        cover = bar_yehuda_even(f)
+        assert cover == bar_yehuda_even(r)
+        independent = {tid for tid in f.ids() if tid not in cover}
+        assert maximalize_independent_set(
+            f, independent
+        ) == maximalize_independent_set(r, independent)
+        fast_greedy = greedy_s_repair(fast_table, fds, index=f)
+        ref_greedy = greedy_s_repair(ref_table, fds, index=r)
+        assert fast_greedy.repair == ref_greedy.repair
+        assert fast_greedy.distance == ref_greedy.distance
+        assert f.matching_lower_bound() == r.matching_lower_bound()
+        assert f.lp_lower_bound() == r.lp_lower_bound()
+        assert exact_cover_of_index(f) == exact_cover_of_index(r)
+
+
 def test_csr_arrays_shape_and_degree():
     table = Table(
         ("A", "B"),
         {1: ("x", "1"), 2: ("x", "2"), 3: ("x", "3"), 4: ("y", "1")},
     )
-    index = ConflictIndex(table, FDSet("A -> B"), use_kernel=True)
+    index = ConflictIndex(table, FDSet("A -> B"))
     kern = index._kernel
     assert kern is not None
     assert kern.num_edges == 3  # triangle among rows 0, 1, 2
@@ -274,7 +337,7 @@ def test_csr_arrays_shape_and_degree():
 
 def test_mutation_patches_csr_and_keeps_codec():
     table = Table(("A", "B"), {1: ("x", "1"), 2: ("x", "2")})
-    index = ConflictIndex(table, FDSet("A -> B"), use_kernel=True)
+    index = ConflictIndex(table, FDSet("A -> B"))
     assert index._kernel is not None
     index.insert(3, ("x", "3"))
     assert index._kernel is not None  # the view is patched, not dropped
@@ -335,11 +398,11 @@ def test_clean_byte_identical_with_and_without_kernel(data):
     with_kernel = clean(
         Table(SCHEMA, rows, weights), fds, strategy=strategy, guarantee=guarantee
     )
-    with kernel.disabled():
-        without = clean(
-            Table(SCHEMA, rows, weights), fds, strategy=strategy,
-            guarantee=guarantee,
-        )
+    reference_table = Table(SCHEMA, rows, weights)
+    without = clean(
+        reference_table, fds, strategy=strategy, guarantee=guarantee,
+        index=ReferenceConflictIndex(reference_table, fds),
+    )
 
     original = Table(SCHEMA, rows, weights)
     assert with_kernel.distance == without.distance
@@ -366,8 +429,11 @@ def test_assess_byte_identical_with_and_without_kernel(data):
     }
     weights = {i: rng.choice([1.0, 2.0, 0.5]) for i in rows}
     with_kernel = assess(Table(SCHEMA, rows, weights), fds, decomposed=decomposed)
-    with kernel.disabled():
-        without = assess(Table(SCHEMA, rows, weights), fds, decomposed=decomposed)
+    reference_table = Table(SCHEMA, rows, weights)
+    without = assess(
+        reference_table, fds, decomposed=decomposed,
+        index=ReferenceConflictIndex(reference_table, fds),
+    )
     assert with_kernel == without
 
 
@@ -426,7 +492,7 @@ def test_exact_budget_raises_in_both_solvers(monkeypatch):
     monkeypatch.setattr(vc, "_BUDGET_CHECK_INTERVAL", 1)
     fds = FDSet("A -> B; B -> A")
     table = _budget_probe_graph()
-    index = ConflictIndex(table, fds, use_kernel=True)
+    index = ConflictIndex(table, fds)
     with pytest.raises(kernel.ExactBudgetExceeded):
         exact_cover_of_index(index, budget_s=0.0)
     with pytest.raises(kernel.ExactBudgetExceeded):
@@ -502,7 +568,7 @@ def test_clean_budget_on_global_path(monkeypatch):
 
 def test_stale_kernel_view_raises_on_bypassed_mutation():
     table = Table(("A", "B"), {1: ("x", "1"), 2: ("x", "2"), 3: ("y", "3")})
-    index = ConflictIndex(table, FDSet("A -> B"), use_kernel=True)
+    index = ConflictIndex(table, FDSet("A -> B"))
     # A mutation that bypasses insert()/remove() (the dropped-invalidation
     # bug class) must fail loudly at the next kernel read…
     del index._live[3]
@@ -530,9 +596,9 @@ def test_incremental_csr_equals_dict_under_interleaved_mutations(data):
     rng = random.Random(data.draw(st.integers(0, 10_000)))
     fds = data.draw(st.sampled_from(FD_SETS))
     table = _random_table(rng, data.draw(st.integers(2, 22)), with_fresh=False)
-    kernel_index = ConflictIndex(table, fds, use_kernel=True)
+    kernel_index = ConflictIndex(table, fds)
     dict_table = Table(SCHEMA, table.rows(), table.weights())
-    dict_index = ConflictIndex(dict_table, fds, use_kernel=False)
+    dict_index = ReferenceConflictIndex(dict_table, fds)
     rows_now = table.rows()
     weights_now = table.weights()
     live = list(kernel_index.ids())
@@ -578,8 +644,9 @@ def test_incremental_csr_equals_dict_under_interleaved_mutations(data):
         from repro.core.approx import greedy_s_repair
 
         snapshot = Table(SCHEMA, rows_now, weights_now)
-        with kernel.disabled():
-            reference = greedy_s_repair(snapshot, fds)
+        reference = greedy_s_repair(
+            snapshot, fds, index=ReferenceConflictIndex(snapshot, fds)
+        )
         kernel_repair = maximalize_independent_set(kernel_index, survivors)
         assert kernel_repair == set(reference.repair.ids())
 
@@ -588,7 +655,7 @@ def test_compaction_rebuilds_the_view():
     rng = random.Random(9)
     rows = {i: (f"a{i % 40}", f"b{rng.randrange(3)}", "x") for i in range(400)}
     table = Table(SCHEMA, rows)
-    index = ConflictIndex(table, FDSet("A -> B"), use_kernel=True)
+    index = ConflictIndex(table, FDSet("A -> B"))
     for tid in range(0, 300):
         index.remove(tid)
     kern = index._kernel
@@ -597,8 +664,8 @@ def test_compaction_rebuilds_the_view():
     # back to plain CSR over the live rows at least once, resetting the
     # since-build churn counters.
     assert kern.removed_count + kern.appended_count < 64
-    dict_index = ConflictIndex(
-        table.subset(range(300, 400)), FDSet("A -> B"), use_kernel=False
+    dict_index = ReferenceConflictIndex(
+        table.subset(range(300, 400)), FDSet("A -> B")
     )
     assert index.components() == dict_index.components()
     assert bar_yehuda_even(index) == bar_yehuda_even(dict_index)
@@ -627,9 +694,14 @@ def test_greedy_and_approx_byte_identical_with_and_without_kernel(data):
 
     kernel_greedy = greedy_s_repair(Table(SCHEMA, rows, weights), fds)
     kernel_approx = approx_s_repair(Table(SCHEMA, rows, weights), fds)
-    with kernel.disabled():
-        dict_greedy = greedy_s_repair(Table(SCHEMA, rows, weights), fds)
-        dict_approx = approx_s_repair(Table(SCHEMA, rows, weights), fds)
+    greedy_table = Table(SCHEMA, rows, weights)
+    dict_greedy = greedy_s_repair(
+        greedy_table, fds, index=ReferenceConflictIndex(greedy_table, fds)
+    )
+    approx_table = Table(SCHEMA, rows, weights)
+    dict_approx = approx_s_repair(
+        approx_table, fds, index=ReferenceConflictIndex(approx_table, fds)
+    )
     assert kernel_greedy.repair == dict_greedy.repair
     assert kernel_greedy.distance == dict_greedy.distance
     assert kernel_approx.repair == dict_approx.repair
@@ -661,37 +733,8 @@ def test_maximalize_fast_path_matches_reference_on_mask_view():
 
 
 # ---------------------------------------------------------------------------
-# 8. The global switch and the CLI flag
+# 8. The CLI budget flag
 # ---------------------------------------------------------------------------
-
-def test_disabled_context_restores_flag():
-    assert kernel.enabled()
-    with kernel.disabled():
-        assert not kernel.enabled()
-        with kernel.disabled():
-            assert not kernel.enabled()
-        assert not kernel.enabled()
-    assert kernel.enabled()
-
-
-def test_cli_no_kernel_flag(tmp_path, capsys, monkeypatch):
-    from repro.cli import main
-    from repro.io.tables import table_to_csv
-
-    table = Table(SCHEMA, {1: ("a", "b", "c"), 2: ("a", "x", "c")})
-    csv_path = tmp_path / "t.csv"
-    table_to_csv(table, str(csv_path))
-
-    assert main(["assess", str(csv_path), "A -> B"]) == 0
-    with_kernel = capsys.readouterr().out
-    # The flag must actually flip the global switch before any build.
-    monkeypatch.setattr(kernel, "_ENABLED", True)
-    assert main(["assess", str(csv_path), "A -> B", "--no-kernel"]) == 0
-    without = capsys.readouterr().out
-    assert not kernel.enabled()
-    monkeypatch.setattr(kernel, "_ENABLED", True)
-    assert with_kernel == without
-
 
 def test_cli_exact_budget_flag(tmp_path, capsys):
     """--exact-budget threads end-to-end on assess and the repair

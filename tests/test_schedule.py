@@ -4,8 +4,8 @@ brackets.
 Pins the scheduling layer's contracts:
 
 * the bound chain **matching ≤ LP ≤ exact optimum ≤ BYE** on random
-  weighted components, kernel and ``--no-kernel`` alike (and the LP is
-  bit-identical between the two substrates);
+  weighted components, kernel and dict reference index alike (and the
+  LP is bit-identical between the two substrates);
 * global-budget exhaustion produces the *same kept set* serial vs.
   parallel (the plan is computed once and shipped with the tasks);
 * plan determinism: a zero global budget downgrades every component,
@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core import kernel
 from repro.core.conflict_index import ConflictIndex
 from repro.core.decompose import (
     DEFAULT_NODE_LIMIT,
@@ -39,6 +38,7 @@ from repro.core.table import Table
 from repro.datagen.synthetic import portfolio_mix_table
 from repro.io.tables import table_to_csv
 from repro.pipeline import clean
+from repro.testing import ReferenceConflictIndex
 
 OVERLAY = FDSet("A -> B; B -> C")
 
@@ -63,10 +63,10 @@ def random_conflict_tables():
     )
 
 
-def _bound_chain(table):
+def _bound_chain(table, index=None):
     """Per component: (matching, lp, exact optimum, bye upper)."""
     chains = []
-    for component in decompose(table, OVERLAY).components:
+    for component in decompose(table, OVERLAY, index=index).components:
         index = component.index
         matching = index.matching_lower_bound()
         lp = index.lp_lower_bound()
@@ -91,13 +91,11 @@ def test_matching_le_lp_le_exact_le_bye(table):
 @given(random_conflict_tables())
 def test_bound_chain_identical_without_kernel(table):
     with_kernel = _bound_chain(table)
-    with kernel.disabled():
-        # A fresh equivalent table, so no kernel-built index is reused.
-        rows = [table[tid] for tid in table.ids()]
-        weights = [table.weight(tid) for tid in table.ids()]
-        reference = _bound_chain(
-            Table.from_rows(table.schema, rows, weights)
-        )
+    # A fresh equivalent table, so no kernel-built index is reused.
+    rows = [table[tid] for tid in table.ids()]
+    weights = [table.weight(tid) for tid in table.ids()]
+    fresh = Table.from_rows(table.schema, rows, weights)
+    reference = _bound_chain(fresh, ReferenceConflictIndex(fresh, OVERLAY))
     # The LP (and the whole chain) must be bit-identical across
     # substrates — the bound feeds reported brackets, which the
     # kernel-vs-dict identity gates compare exactly.
@@ -211,11 +209,10 @@ def test_patched_components_kernel_matches_dict():
     index.remove_many(victims)
     patched = index.components()
 
-    with kernel.disabled():
-        rows = [table[tid] for tid in table.ids()]
-        weights = [table.weight(tid) for tid in table.ids()]
-        fresh = Table.from_rows(table.schema, rows, weights)
-        reference = ConflictIndex(fresh, OVERLAY)
-        reference.components()
-        reference.remove_many(victims)
-        assert reference.components() == patched
+    rows = [table[tid] for tid in table.ids()]
+    weights = [table.weight(tid) for tid in table.ids()]
+    fresh = Table.from_rows(table.schema, rows, weights)
+    reference = ReferenceConflictIndex(fresh, OVERLAY)
+    reference.components()
+    reference.remove_many(victims)
+    assert reference.components() == patched

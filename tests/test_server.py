@@ -561,6 +561,73 @@ async def _rpc(reader, writer, obj):
     return json.loads(await reader.readline())
 
 
+def _drive_one_connection(body):
+    """Run ``body(reader, writer)`` against a fresh serial daemon over
+    TCP, then shut it down."""
+    server = RepairServer(
+        SessionManager(ServerConfig(workers=0, executor_threads=2))
+    )
+
+    async def drive():
+        port = await server.serve_tcp()
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        try:
+            await asyncio.wait_for(body(reader, writer), timeout=60)
+        finally:
+            server.request_shutdown()
+            writer.close()
+            await server.wait_closed()
+
+    asyncio.run(drive())
+
+
+def test_daemon_accepts_an_append_line_past_64_kib():
+    """asyncio's default 64 KiB line limit cut a 5,000-row append off
+    with no reply; the daemon's own limit admits it."""
+    rows = [[f"a{i}", f"b{i % 7}", f"c{i % 3}"] for i in range(5000)]
+    append = {"op": "append", "tenant": "t", "session": "s", "seq": 2,
+              "rows": rows}
+    assert len(json.dumps(append)) > 100_000
+
+    async def body(reader, writer):
+        opened = await _rpc(reader, writer, {
+            "op": "open", "tenant": "t", "session": "s", "seq": 1,
+            "schema": list(SCHEMA), "fds": "A -> B",
+        })
+        assert opened["ok"], opened
+        reply = await _rpc(reader, writer, append)
+        assert reply["ok"], reply
+        assert reply["seq"] == 2
+        status = await _rpc(reader, writer, {
+            "op": "status", "tenant": "t", "session": "s", "seq": 3,
+        })
+        assert status["ok"] and status["conflicts"] == 0
+
+    _drive_one_connection(body)
+
+
+def test_daemon_over_limit_line_gets_one_error_and_connection_survives():
+    """An over-limit line gets exactly one ``ok:false`` reply, its tail
+    is skipped rather than parsed as a request, and the next request on
+    the same connection is answered."""
+    from repro.server import MAX_LINE_BYTES
+
+    # Were the reader to resync mid-line, this tail would parse as a
+    # ping of its own and draw a second reply.
+    oversized = b" " * (MAX_LINE_BYTES + 1024) + b'{"op": "ping", "seq": "tail"}\n'
+
+    async def body(reader, writer):
+        writer.write(oversized)
+        await writer.drain()
+        error = json.loads(await reader.readline())
+        assert error["ok"] is False
+        assert str(MAX_LINE_BYTES) in error["error"]
+        reply = await _rpc(reader, writer, {"op": "ping", "seq": "after"})
+        assert reply["seq"] == "after" and reply["pong"]
+
+    _drive_one_connection(body)
+
+
 # ---------------------------------------------------------------------------
 # Pool lifecycle regressions
 # ---------------------------------------------------------------------------

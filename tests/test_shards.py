@@ -345,6 +345,68 @@ class TestExecutorSeam:
         assert got.cleaned.to_string() == clean(table, FDS).cleaned.to_string()
 
 
+def _running(pid):
+    """True while *pid* is a live, non-zombie process (an orphan's
+    zombie may linger until its new parent reaps it)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
+def test_pool_workers_exit_when_their_owner_is_killed():
+    """A SIGKILLed owner never sends ``stop``: its forked workers must
+    notice the death themselves instead of blocking on their queues."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    import repro
+
+    if not os.path.isdir("/proc") or not hasattr(signal, "SIGKILL"):
+        pytest.skip("needs /proc and SIGKILL")
+    script = (
+        "import sys\n"
+        "from repro.exec import PersistentWorkerPool\n"
+        "pool = PersistentWorkerPool(2)\n"
+        "if not pool.start():\n"
+        "    sys.exit(3)\n"
+        "print(*(p.pid for p in pool._procs), flush=True)\n"
+        "sys.stdin.read()\n"
+    )
+    env = dict(os.environ)
+    src_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_root, env.get("PYTHONPATH")) if p
+    )
+    owner = subprocess.Popen(
+        [sys.executable, "-c", script], stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    pids = []
+    try:
+        pids = [int(pid) for pid in owner.stdout.readline().split()]
+        if not pids and owner.wait(timeout=10) == 3:
+            pytest.skip("subprocess support unavailable")
+        assert len(pids) == 2
+        os.kill(owner.pid, signal.SIGKILL)
+        owner.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)]
+    finally:
+        owner.kill()
+        owner.wait(timeout=10)
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
 # ---------------------------------------------------------------------------
 # Journal rotation with retention
 # ---------------------------------------------------------------------------
