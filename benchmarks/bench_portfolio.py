@@ -37,11 +37,18 @@ as the CI regression reference (the workflow fails on a > 30% drop of
 any gated ``speedup``).
 """
 
-from repro.core.decompose import decompose
+from repro.core.decompose import (
+    EXACT_COMPONENT_THRESHOLD,
+    ComponentPlan,
+    decompose,
+    plan_s_method,
+)
+from repro.core.dichotomy import classify
 from repro.core.fd import FDSet
 from repro.datagen.synthetic import portfolio_mix_table
+from repro.exec import solve_components
 from repro.io.tables import table_to_csv
-from repro.pipeline import assess, clean
+from repro.pipeline import _decomposed_outcome, _lp_qualifies, assess, clean
 from repro.testing import ReferenceConflictIndex
 
 from conftest import measure_best, print_table, record_bench
@@ -59,15 +66,40 @@ def _mix_table(seed=11):
     )
 
 
+def _clean_per_component_budget(table, threshold=EXACT_COMPONENT_THRESHOLD):
+    """The baseline arm: the size rule, every exact solve capped by its
+    own ``PER_COMPONENT_BUDGET_S`` — built from the decompose / plan /
+    solve / merge seams, since ``clean`` has only the global budget.
+    The merge tightens lower bounds exactly as ``clean`` does."""
+    verdict = classify(OVERLAY)
+    decomp = decompose(table, OVERLAY)
+    plans = [
+        ComponentPlan(
+            plan_s_method(component.size, False, "best", threshold),
+            budget_s=PER_COMPONENT_BUDGET_S,
+        )
+        for component in decomp.components
+    ]
+    kept_lists, methods = solve_components(decomp, plans)
+    lower_bounds = [None] * len(plans)
+    for i, (component, plan) in enumerate(zip(decomp.components, plans)):
+        if _lp_qualifies(plan, component.size, threshold, "best"):
+            lp = component.index.lp_lower_bound()
+            if lp is not None:
+                matching = component.index.matching_lower_bound()
+                lower_bounds[i] = max(matching, lp)
+    return _decomposed_outcome(
+        decomp, verdict, methods, kept_lists, None, lower_bounds
+    )
+
+
 def test_scheduled_clean_beats_per_component_budget(benchmark):
     """Gate 1: ≥ 1.5× end-to-end clean under the same total exact
     allowance, with a repair at least as cheap."""
     table = _mix_table()
 
     def run_baseline():
-        return clean(
-            table, OVERLAY, per_component_budget_s=PER_COMPONENT_BUDGET_S
-        )
+        return _clean_per_component_budget(table)
 
     def run_scheduled():
         return clean(table, OVERLAY, exact_budget_s=GLOBAL_BUDGET_S)

@@ -133,19 +133,6 @@ def _add_exact_budget_option(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--per-component-budget",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help=(
-            "wall-clock ceiling per exact vertex-cover solve — the "
-            "historical semantics of --exact-budget: a component whose "
-            "branch & bound runs longer falls back to the "
-            "2-approximation; combinable with --exact-budget, which "
-            "then additionally caps each scheduled slice"
-        ),
-    )
-    parser.add_argument(
         "--unit-cost",
         type=float,
         metavar="SECONDS",
@@ -628,7 +615,6 @@ def _cmd_assess(args: argparse.Namespace) -> int:
             decomposed=args.decomposed,
             exact_threshold=args.exact_threshold,
             exact_budget_s=args.exact_budget,
-            per_component_budget_s=args.per_component_budget,
             unit_cost_s=args.unit_cost,
             detailed=args.json,
             recorder=recorder,
@@ -700,7 +686,6 @@ def _run_clean(args: argparse.Namespace, strategy: str) -> CleaningResult:
             parallel=args.parallel,
             exact_threshold=args.exact_threshold,
             exact_budget_s=args.exact_budget,
-            per_component_budget_s=args.per_component_budget,
             unit_cost_s=args.unit_cost,
             recorder=recorder,
             executor=executor,
@@ -817,7 +802,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         pool=executor,
         exact_threshold=args.exact_threshold,
         exact_budget_s=args.exact_budget,
-        per_component_budget_s=args.per_component_budget,
         unit_cost_s=args.unit_cost,
         recorder=recorder,
     ) as session:

@@ -172,33 +172,12 @@ class Decomposition:
     def conflicting_tuple_count(self) -> int:
         return sum(c.size for c in self.components)
 
-    def plan_methods(
-        self,
-        tractable: bool,
-        guarantee: str = "best",
-        threshold: int = EXACT_COMPONENT_THRESHOLD,
-    ) -> List[str]:
-        """The portfolio plan: one :func:`plan_s_method` verdict per
-        component, in component order.
-
-        Shared by :func:`repro.pipeline.clean` and the streaming
-        :class:`repro.session.RepairSession`, so both pick byte-identical
-        method mixes for the same instance (the session's cache keys
-        include the planned method, making cached and fresh solves
-        interchangeable).
-        """
-        return [
-            plan_s_method(c.size, tractable, guarantee, threshold)
-            for c in self.components
-        ]
-
     def plan_schedule(
         self,
         tractable: bool,
         guarantee: str = "best",
         threshold: int = EXACT_COMPONENT_THRESHOLD,
         exact_budget_s: Optional[float] = None,
-        per_component_budget_s: Optional[float] = None,
         node_limit: int = DEFAULT_NODE_LIMIT,
         unit_cost_s: Optional[float] = None,
     ) -> List["ComponentPlan"]:
@@ -213,7 +192,6 @@ class Decomposition:
             guarantee,
             threshold,
             exact_budget_s,
-            per_component_budget_s,
             node_limit,
             unit_cost_s,
         )
@@ -411,15 +389,16 @@ class ComponentPlan:
     """One component's scheduled solve: the method, the difficulty
     evidence behind it, and the wall-clock slice it ships with.
 
-    ``difficulty``/``predicted_s`` are ``None`` on the legacy
-    (per-component budget) path, where no features are computed;
+    ``difficulty``/``predicted_s`` are ``None`` when no global budget
+    is set, where no features are computed;
     ``downgraded`` marks a component the global scheduler *would* have
     solved exactly by size but left approximate because the budget ran
     out — exactly the components whose brackets the LP bound tightens.
     ``budget_s`` is the per-solve wall-clock ceiling shipped with the
-    task (serial and pool paths read the same plan, which is what keeps
-    them byte-identical: the plan is pure arithmetic over predictions,
-    never wall-clock measurements).  ``features`` carries the computed
+    task — the only place a solve budget travels (serial and pool paths
+    read the same plan, which is what keeps them byte-identical: the
+    plan is pure arithmetic over predictions, never wall-clock
+    measurements).  ``features`` carries the computed
     :class:`ComponentFeatures` when the scheduler computed them — the
     polynomial bracket is among them, so assessment never brackets the
     same component twice.
@@ -442,7 +421,6 @@ class PlanDefaults:
     threshold: int
     node_limit: int
     exact_budget_s: Optional[float]
-    per_component_budget_s: Optional[float]
     unit_cost_s: float = DIFFICULTY_UNIT_COST_S
 
 
@@ -450,21 +428,18 @@ def resolve_plan_defaults(
     exact_threshold: Optional[int] = None,
     node_limit: Optional[int] = None,
     exact_budget_s: Optional[float] = None,
-    per_component_budget_s: Optional[float] = None,
     unit_cost_s: Optional[float] = None,
 ) -> PlanDefaults:
     """Resolve the portfolio knobs to their effective values.
 
     ``None`` means "the library default": *exact_threshold* →
     :data:`EXACT_COMPONENT_THRESHOLD`, *node_limit* →
-    :data:`DEFAULT_NODE_LIMIT`.  The budgets stay ``None`` when unset
-    (= unlimited); *exact_budget_s* is the **global** budget of the
-    difficulty scheduler, *per_component_budget_s* the historical
-    per-solve ceiling — both may be set, in which case every exact slice
-    is additionally capped per component.  *unit_cost_s* overrides the
-    hand-calibrated :data:`DIFFICULTY_UNIT_COST_S` (``None`` keeps it)
-    — how a machine-specific ``fdrepair calibrate`` fit is deployed
-    without monkeypatching the module constant.  Centralised here so
+    :data:`DEFAULT_NODE_LIMIT`.  *exact_budget_s* stays ``None`` when
+    unset (= unlimited); it is the **global** budget of the difficulty
+    scheduler.  *unit_cost_s* overrides the hand-calibrated
+    :data:`DIFFICULTY_UNIT_COST_S` (``None`` keeps it) — how a
+    machine-specific ``fdrepair calibrate`` fit is deployed without
+    monkeypatching the module constant.  Centralised here so
     ``session.py``, ``exec.py``, ``pipeline.py`` and the CLI can never
     drift on what an omitted knob means.
     """
@@ -476,7 +451,6 @@ def resolve_plan_defaults(
         ),
         node_limit=DEFAULT_NODE_LIMIT if node_limit is None else node_limit,
         exact_budget_s=exact_budget_s,
-        per_component_budget_s=per_component_budget_s,
         unit_cost_s=(
             DIFFICULTY_UNIT_COST_S if unit_cost_s is None else unit_cost_s
         ),
@@ -489,7 +463,6 @@ def plan_schedule(
     guarantee: str = "best",
     threshold: int = EXACT_COMPONENT_THRESHOLD,
     exact_budget_s: Optional[float] = None,
-    per_component_budget_s: Optional[float] = None,
     node_limit: int = DEFAULT_NODE_LIMIT,
     unit_cost_s: Optional[float] = None,
 ) -> List[ComponentPlan]:
@@ -497,11 +470,11 @@ def plan_schedule(
     :func:`plan_s_method`: one :class:`ComponentPlan` per component, in
     component order.
 
-    Without a global budget (*exact_budget_s* ``None``) this reproduces
-    the historical policy exactly — per-component
-    :func:`plan_s_method` with *per_component_budget_s* as each exact
-    solve's ceiling, and **no feature computation at all** (streaming
-    sessions plan on every delta; the legacy path must stay O(1) per
+    *exact_budget_s* is the one budget: the **global** exact-solve
+    allowance of the whole instance.  Without it (``None``) this is the
+    size rule — per-component :func:`plan_s_method`, no wall-clock
+    ceiling, and **no feature computation at all** (streaming sessions
+    plan on every delta; the no-budget plan must stay O(1) per
     component).
 
     With a global budget, hard-Δ components under ``guarantee="best"``
@@ -513,8 +486,8 @@ def plan_schedule(
     the exact solvers accept (≤ ``min(node_limit, MAX_BITMASK_VERTICES)``
     vertices) may be granted exactness, which is the point: many easy
     *large* components beat one hard small one.  Each granted solve
-    ships a wall-clock slice of ``budget − predicted spend so far``
-    (capped by *per_component_budget_s* when given) as its hard ceiling.
+    ships a wall-clock slice of ``budget − predicted spend so far`` as
+    its hard ceiling.
     The plan is pure arithmetic over predictions — no wall-clock reads —
     so serial and worker-pool runs of the same instance compute the
     identical plan, and a zero budget deterministically plans every
@@ -531,18 +504,14 @@ def plan_schedule(
     if tractable:
         return [ComponentPlan("dichotomy") for _ in components]
     if guarantee == "optimal":
-        slice_s = (
-            exact_budget_s if exact_budget_s is not None
-            else per_component_budget_s
-        )
         return [
-            ComponentPlan("exact", budget_s=slice_s) for _ in components
+            ComponentPlan("exact", budget_s=exact_budget_s)
+            for _ in components
         ]
     if exact_budget_s is None:
         return [
             ComponentPlan(
-                plan_s_method(c.size, tractable, guarantee, threshold),
-                budget_s=per_component_budget_s,
+                plan_s_method(c.size, tractable, guarantee, threshold)
             )
             for c in components
         ]
@@ -565,14 +534,11 @@ def plan_schedule(
     spent = 0.0
     for difficulty, i, predicted, feats in ranked:
         if exact_budget_s > 0 and spent + predicted <= exact_budget_s:
-            slice_s = exact_budget_s - spent
-            if per_component_budget_s is not None:
-                slice_s = min(slice_s, per_component_budget_s)
             plans[i] = ComponentPlan(
                 "exact",
                 difficulty=difficulty,
                 predicted_s=predicted,
-                budget_s=slice_s,
+                budget_s=exact_budget_s - spent,
                 features=feats,
             )
             spent += predicted

@@ -110,7 +110,7 @@ def exact_s_repair(
             parallel=parallel,
             index=index,
             node_limit=node_limit,
-            budget_s=exact_budget_s,
+            exact_budget_s=exact_budget_s,
         ).repair
     if index is None:
         index = table.conflict_index(fds)

@@ -233,11 +233,11 @@ def optimal_s_repair(
             # vertex cover otherwise — optimal at every component size.
             return decomposed_s_repair(
                 table, fds, guarantee="optimal", parallel=parallel,
-                index=index, budget_s=exact_budget_s,
+                index=index, exact_budget_s=exact_budget_s,
             )
         return decomposed_s_repair(
             table, fds, method=method, parallel=parallel, index=index,
-            budget_s=exact_budget_s,
+            exact_budget_s=exact_budget_s,
         )
     if method == "dichotomy" or (method == "auto" and osr_succeeds(fds)):
         repair = opt_s_repair(fds, table)

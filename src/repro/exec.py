@@ -60,11 +60,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import faults as _faults
 from . import obs as _obs
 from .core.decompose import (
-    EXACT_COMPONENT_THRESHOLD,
+    DEFAULT_NODE_LIMIT,
     ComponentPlan,
     Decomposition,
     decompose,
-    plan_s_method,
     resolve_plan_defaults,
 )
 from .core.fd import FDSet
@@ -125,18 +124,18 @@ U_TASK = "u-repair"
 
 def _apply_mirror(space, kind: str, args) -> None:
     """Apply one maintenance op to a mirror space ``[schema, fds,
-    node_limit, budget_s, rows, weights]`` — the same code keeps the
-    workers' mirrors and the parent's replay copy in step."""
+    node_limit, rows, weights]`` — the same code keeps the workers'
+    mirrors and the parent's replay copy in step."""
     if kind == "reset":
-        space[4] = dict(args[0])
-        space[5] = dict(args[1])
+        space[3] = dict(args[0])
+        space[4] = dict(args[1])
     elif kind == "append":
-        space[4].update(args[0])
-        space[5].update(args[1])
+        space[3].update(args[0])
+        space[4].update(args[1])
     elif kind == "delete":
         for tid in args[0]:
+            space[3].pop(tid, None)
             space[4].pop(tid, None)
-            space[5].pop(tid, None)
 
 
 def _subtable(space, ids) -> Table:
@@ -144,7 +143,7 @@ def _subtable(space, ids) -> Table:
     the mirror lacks).  Mirror insertion order follows the owning
     session's (appends at the end, deletions in place), so the rebuilt
     sub-table equals the parent-side projection."""
-    schema, _fds, _limit, _budget, rows, weights = space
+    schema, _fds, _limit, rows, weights = space
     return Table(
         schema,
         {tid: rows[tid] for tid in ids},
@@ -176,8 +175,9 @@ def worker_loop(messages, reply, slot: int, generation: int,
     ``(seq, value, seconds, error_kind, error)``.  Each worker mirrors
     every attached namespace's rows and weights (``open``/``drop``/
     ``reset``/``append``/``delete``) and solves components shipped as
-    **id lists only** — ``("solve", seq, key, ids, method[, budget])``
-    — so a table crosses the process boundary once, then as deltas.
+    **id lists only** — ``("solve", seq, key, ids, method[, budget])``,
+    the budget being the task's own wall-clock ceiling — so a table
+    crosses the process boundary once, then as deltas.
     ``error_kind`` is ``"state"`` when the namespace or an id is missing
     (a stale mirror: the parent heals the slot by respawn and replay)
     and ``"solve"`` for a solver exception, which fails only that
@@ -216,16 +216,15 @@ def worker_loop(messages, reply, slot: int, generation: int,
                            f"stale mirror, missing id {exc}"))
                     continue
                 start = _perf_counter()
-                value = _run_task(table, space[1], method, space[2],
-                                  space[3] if budget is None else budget)
+                value = _run_task(table, space[1], method, space[2], budget)
                 elapsed = _perf_counter() - start
             except BaseException as exc:  # ship the failure, don't die
                 reply((seq, None, 0.0, "solve", repr(exc)))
             else:
                 reply((seq, value, elapsed, None, None))
         elif kind == "open":
-            key, schema, fds, node_limit, budget_s = message[1:6]
-            spaces[key] = [tuple(schema), fds, node_limit, budget_s, {}, {}]
+            key, schema, fds, node_limit = message[1:5]
+            spaces[key] = [tuple(schema), fds, node_limit, {}, {}]
         elif kind == "drop":
             spaces.pop(message[1], None)
         else:
@@ -332,8 +331,8 @@ class SupervisedExecutor:
     noun = "worker"
 
     def __init__(self, transport, slots: int, schema=None,
-                 fds: Optional[FDSet] = None, node_limit: int = 2000,
-                 budget_s: Optional[float] = None, *,
+                 fds: Optional[FDSet] = None,
+                 node_limit: int = DEFAULT_NODE_LIMIT, *,
                  supervise: bool = True,
                  deadline_s: Optional[float] = None,
                  resends: int = 0,
@@ -353,7 +352,6 @@ class SupervisedExecutor:
         self._schema = None if schema is None else tuple(schema)
         self._fds = fds
         self._node_limit = node_limit
-        self._budget_s = budget_s
         self._supervise = bool(supervise)
         self._deadline_s = deadline_s
         self._resends = max(0, int(resends))
@@ -398,7 +396,7 @@ class SupervisedExecutor:
             "heartbeat_misses": 0, "abandoned": 0, "rpcs": 0,
         }
         # Authoritative namespace mirrors (key -> [schema, fds,
-        # node_limit, budget_s, rows, weights]) replayed into
+        # node_limit, rows, weights]) replayed into
         # replacements.  _io serialises mirror updates, fan-out and
         # replay, so a respawn never misses a delta.  Lock order: _io
         # before _cond, never the reverse.
@@ -470,8 +468,8 @@ class SupervisedExecutor:
         so the transport must deliver them before releasing it)."""
         return [
             message for key, space in self._mirror.items()
-            for message in (("open", key, *space[:4]),
-                            ("reset", key, space[4], space[5]))
+            for message in (("open", key, *space[:3]),
+                            ("reset", key, space[3], space[4]))
         ]
 
     def _fail_start(self) -> bool:
@@ -525,17 +523,14 @@ class SupervisedExecutor:
     # -- namespaces ------------------------------------------------------
 
     def open_session(self, key, schema, fds: FDSet, *,
-                     node_limit: Optional[int] = None,
-                     budget_s: Optional[float] = None) -> bool:
+                     node_limit: Optional[int] = None) -> bool:
         """Install namespace *key* on every slot (its mirror starts
         empty; follow with a ``reset`` broadcast)."""
         limit = self._node_limit if node_limit is None else node_limit
-        budget = self._budget_s if budget_s is None else budget_s
         with self._io:
             if self._supervise:
-                self._mirror[key] = [tuple(schema), fds, limit, budget, {}, {}]
-            return self._fan_out(("open", key, tuple(schema), fds, limit,
-                                  budget))
+                self._mirror[key] = [tuple(schema), fds, limit, {}, {}]
+            return self._fan_out(("open", key, tuple(schema), fds, limit))
 
     def drop_session(self, key) -> bool:
         """Forget namespace *key* on every slot."""
@@ -555,11 +550,10 @@ class SupervisedExecutor:
             return self._fan_out((op[0], key) + tuple(op[1:]))
 
     def attach_table(self, key, table: Table, fds: FDSet, *,
-                     node_limit: Optional[int] = None,
-                     budget_s: Optional[float] = None) -> bool:
+                     node_limit: Optional[int] = None) -> bool:
         """Open namespace *key* and ship *table* as its mirror."""
         return self.open_session(
-            key, table.schema, fds, node_limit=node_limit, budget_s=budget_s
+            key, table.schema, fds, node_limit=node_limit
         ) and self.broadcast(
             ("reset", table.rows(), table.weights()), key=key
         )
@@ -592,9 +586,9 @@ class SupervisedExecutor:
         """Solve ``(component ids, method[, budget])`` tasks in namespace
         *key*; returns, in task order, each task's result followed by
         the solve seconds — ``(kept ids, effective method, seconds)`` for
-        S-repair methods.  The optional budget is a per-task wall-clock
-        slice overriding the namespace default (how the global
-        difficulty scheduler ships each exact solve's slice).  The
+        S-repair methods.  The optional budget is the task's wall-clock
+        ceiling — its :class:`~repro.core.decompose.ComponentPlan`
+        slice; a task without one has no wall-clock ceiling.  The
         seconds are measured inside the worker around the solve itself.
 
         Slot deaths, lost messages and stalls are survived inside the
@@ -667,10 +661,10 @@ class SupervisedExecutor:
         if table is None and error is None:
             error = f"unknown session namespace {rec.key!r}"
         if error is None:
-            budget = space[3] if rec.budget is None else rec.budget
             try:
                 start = _perf_counter()
-                value = _run_task(table, space[1], rec.method, space[2], budget)
+                value = _run_task(table, space[1], rec.method, space[2],
+                                  rec.budget)
                 secs = _perf_counter() - start
             except Exception as exc:
                 error = repr(exc)
@@ -1107,8 +1101,7 @@ class PersistentWorkerPool(SupervisedExecutor):
     noun = "worker"
 
     def __init__(self, workers: int, schema=None, fds: Optional[FDSet] = None,
-                 node_limit: int = 2000,
-                 budget_s: Optional[float] = None, *,
+                 node_limit: int = DEFAULT_NODE_LIMIT, *,
                  supervise: bool = True,
                  max_retries: int = 2,
                  max_respawns: int = 8,
@@ -1118,7 +1111,7 @@ class PersistentWorkerPool(SupervisedExecutor):
                  faults=None,
                  recorder=None):
         super().__init__(
-            _MpTransport(), workers, schema, fds, node_limit, budget_s,
+            _MpTransport(), workers, schema, fds, node_limit,
             supervise=supervise, deadline_s=solve_timeout_s,
             max_retries=max_retries, max_respawns=max_respawns,
             respawn_backoff_s=respawn_backoff_s,
@@ -1145,7 +1138,7 @@ def _solve_s_kept(
     table: Table,
     fds: FDSet,
     method: str,
-    node_limit: int = 2000,
+    node_limit: int = DEFAULT_NODE_LIMIT,
     index=None,
     budget_s: Optional[float] = None,
 ) -> Tuple[Tuple[TupleId, ...], str]:
@@ -1259,28 +1252,28 @@ def _executor_solve(executor, schema, fds: FDSet, rows, weights,
 
 def solve_components(
     decomp: Decomposition,
-    methods: Sequence[str],
+    plans: Sequence[ComponentPlan],
     parallel: Optional[int] = None,
-    node_limit: int = 2000,
-    budget_s: Optional[float] = None,
-    plans: Optional[Sequence[ComponentPlan]] = None,
+    node_limit: int = DEFAULT_NODE_LIMIT,
     recorder=None,
     executor=None,
 ) -> Tuple[List[Tuple[TupleId, ...]], List[str]]:
-    """Solve each component with its assigned portfolio method; returns
-    the kept identifiers per component plus the *effective* methods, both
-    in component order (effective ≠ planned exactly when an ``"exact"``
-    solve outran its wall-clock budget and fell back to ``"approx"``).
+    """Solve each component by its plan; returns the kept identifiers
+    per component plus the *effective* methods, both in component order
+    (effective ≠ planned exactly when an ``"exact"`` solve outran its
+    wall-clock budget and fell back to ``"approx"``).
 
-    With *plans* (from :func:`repro.core.decompose.plan_schedule`) each
-    component runs under its plan's method and per-solve budget slice,
-    and the solves are *dispatched* in ascending predicted difficulty
-    (easiest first — the scheduler's granted budget slices assume the
-    cheap solves land before the expensive ones); results are still
-    reassembled in component order, and since every plan is pure
-    prediction the serial and parallel runs stay byte-identical.
-    Without *plans*, *budget_s* is the uniform per-component budget
-    (historical semantics).
+    *plans* holds one :class:`~repro.core.decompose.ComponentPlan` per
+    component (from :func:`repro.core.decompose.plan_schedule`, or built
+    by hand for a forced method).  Each component runs under its plan's
+    method, and its plan's ``budget_s`` — the one budget meaning — is
+    that solve's wall-clock ceiling (``None``: no ceiling).  The solves
+    are *dispatched* in ascending predicted difficulty (easiest first —
+    the scheduler's granted budget slices assume the cheap solves land
+    before the expensive ones; plans without a difficulty keep component
+    order); results are still reassembled in component order, and since
+    every plan is pure prediction the serial and parallel runs stay
+    byte-identical.
 
     The scheduling seam shared by :func:`decomposed_s_repair` and
     :func:`repro.pipeline.clean` (which derives its dirtiness report from
@@ -1309,20 +1302,16 @@ def solve_components(
     any executor failure falls back to the serial path.
     """
     rec = _obs.resolve(recorder)
-    count = len(methods)
-    if plans is not None:
-        methods = [plan.method for plan in plans]
-        budgets = [plan.budget_s for plan in plans]
-        order = sorted(
-            range(count),
-            key=lambda i: (
-                plans[i].difficulty if plans[i].difficulty is not None else 0.0,
-                i,
-            ),
-        )
-    else:
-        budgets = [budget_s] * count
-        order = list(range(count))
+    count = len(plans)
+    methods = [plan.method for plan in plans]
+    budgets = [plan.budget_s for plan in plans]
+    order = sorted(
+        range(count),
+        key=lambda i: (
+            plans[i].difficulty if plans[i].difficulty is not None else 0.0,
+            i,
+        ),
+    )
     components = decomp.components
     workers = resolve_workers(parallel, count)
     ordered = None
@@ -1373,7 +1362,7 @@ def solve_components(
                 actual_s=secs,
                 path=path,
                 context="clean",
-                plan=plans[i] if plans is not None else None,
+                plan=plans[i],
             )
     return [kept for kept, _m, _s in outcomes], [m for _k, m, _s in outcomes]
 
@@ -1400,8 +1389,7 @@ def decomposed_s_repair(
     index=None,
     node_limit: Optional[int] = None,
     threshold: Optional[int] = None,
-    budget_s: Optional[float] = None,
-    global_budget_s: Optional[float] = None,
+    exact_budget_s: Optional[float] = None,
     executor=None,
 ):
     """S-repair via per-component solving with a portfolio of methods.
@@ -1413,36 +1401,29 @@ def decomposed_s_repair(
     ``exact_s_repair(..., decomposed=True)`` and friends — reuse this
     engine).  The result's ``ratio_bound`` is instance-specific: 1.0
     whenever every component was solved exactly, even for an FD set that
-    is APX-complete in general.  *budget_s* is the per-component exact
-    escape hatch (each solve's own wall-clock ceiling);
-    *global_budget_s* hands the whole instance one exact budget that
-    :func:`~repro.core.decompose.plan_schedule` rations over components
-    in ascending predicted difficulty.  ``None`` knobs resolve through
+    is APX-complete in general.  *exact_budget_s* is the instance's one
+    exact budget: the scheduler rations it over components in ascending
+    predicted difficulty, and ``guarantee="optimal"`` or a forced
+    ``method`` ships it whole as every solve's wall-clock ceiling.
+    ``None`` knobs resolve through
     :func:`~repro.core.decompose.resolve_plan_defaults`.
     """
     from .core.dichotomy import osr_succeeds
 
-    defaults = resolve_plan_defaults(
-        threshold, node_limit, global_budget_s, budget_s
-    )
+    defaults = resolve_plan_defaults(threshold, node_limit, exact_budget_s)
     decomp = decompose(table, fds, index)
     if method is None:
-        tractable = osr_succeeds(fds)
         plans = decomp.plan_schedule(
-            tractable, guarantee, defaults.threshold,
-            defaults.exact_budget_s, defaults.per_component_budget_s,
-            defaults.node_limit,
-        )
-        kept_lists, methods = solve_components(
-            decomp, [plan.method for plan in plans], parallel,
-            defaults.node_limit, plans=plans, executor=executor,
+            osr_succeeds(fds), guarantee, defaults.threshold,
+            defaults.exact_budget_s, defaults.node_limit,
         )
     else:
-        methods = [method] * len(decomp.components)
-        kept_lists, methods = solve_components(
-            decomp, methods, parallel, defaults.node_limit, budget_s,
-            executor=executor,
-        )
+        plans = [
+            ComponentPlan(method, budget_s=defaults.exact_budget_s)
+        ] * len(decomp.components)
+    kept_lists, methods = solve_components(
+        decomp, plans, parallel, defaults.node_limit, executor=executor
+    )
     return assemble_s_result(decomp, methods, kept_lists, parallel)
 
 
@@ -1567,7 +1548,8 @@ def decomposed_u_repair(
         try:
             solved = _executor_solve(
                 pool, table.schema, fds,
-                *_component_rows(decomp, coded=False), tasks, 2000,
+                *_component_rows(decomp, coded=False), tasks,
+                DEFAULT_NODE_LIMIT,
             )
         finally:
             pool.close()

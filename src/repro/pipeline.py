@@ -61,8 +61,8 @@ class ComponentAssessment:
     completed exact solve), ``"lp"`` when the half-integral LP relaxation
     beat the matching bound, ``"matching"`` otherwise.
     ``difficulty``/``predicted_s`` are the scheduler's cost-model
-    outputs (``None`` when no global budget was set — the legacy path
-    computes no features).
+    outputs (``None`` when no budget was set — the size rule computes
+    no features).
     """
 
     ordinal: int
@@ -191,7 +191,6 @@ def assess(
     decomposed: bool = True,
     exact_threshold: Optional[int] = None,
     exact_budget_s: Optional[float] = None,
-    per_component_budget_s: Optional[float] = None,
     unit_cost_s: Optional[float] = None,
     detailed: bool = False,
     recorder=None,
@@ -201,13 +200,13 @@ def assess(
     The bracket is the sum of per-component brackets over the conflict
     graph's connected components.  Which components are bracketed
     **exactly** is decided by the difficulty scheduler
-    (:func:`repro.core.decompose.plan_schedule`): without a global
-    budget, every component of at most *exact_threshold* tuples (default
+    (:func:`repro.core.decompose.plan_schedule`): without a budget,
+    every component of at most *exact_threshold* tuples (default
     :data:`~repro.core.decompose.EXACT_COMPONENT_THRESHOLD`) gets a
-    branch & bound attempt — empirically instantaneous at that size —
-    each capped by *per_component_budget_s*; with *exact_budget_s* set,
-    components are ranked by predicted difficulty and granted exact
-    attempts easiest-first while the predicted spend fits the **global**
+    branch & bound attempt with no wall-clock ceiling — empirically
+    instantaneous at that size; with *exact_budget_s* set, components
+    are ranked by predicted difficulty and granted exact attempts
+    easiest-first while the predicted spend fits that one **global**
     budget, so the same wall-clock buys the most certified components.
     A component left approximate contributes its matching lower bound —
     tightened to the half-integral LP relaxation bound when that is
@@ -243,8 +242,7 @@ def assess(
 
         verdict = classify(fds)
         defaults = resolve_plan_defaults(
-            exact_threshold, None, exact_budget_s, per_component_budget_s,
-            unit_cost_s,
+            exact_threshold, None, exact_budget_s, unit_cost_s
         )
         threshold = defaults.threshold
 
@@ -307,7 +305,6 @@ def _assess_decomposed_bracket(
             "best",
             threshold,
             defaults.exact_budget_s,
-            defaults.per_component_budget_s,
             defaults.node_limit,
             defaults.unit_cost_s,
         )
@@ -473,16 +470,15 @@ def _clean_deletions_decomposed(
     parallel: Optional[int],
     exact_threshold: int = EXACT_COMPONENT_THRESHOLD,
     exact_budget_s: Optional[float] = None,
-    per_component_budget_s: Optional[float] = None,
     unit_cost_s: Optional[float] = None,
     recorder=None,
     executor=None,
 ) -> CleaningResult:
     """The decomposed S-repair pipeline: decompose once, schedule the
     portfolio (:func:`repro.core.decompose.plan_schedule` — difficulty-
-    ranked under a global *exact_budget_s*, the historical size rule
-    otherwise), solve each component by its plan, and derive the
-    dirtiness report from the same per-component solutions.  The
+    ranked under a global *exact_budget_s*, the size rule otherwise),
+    solve each component by its plan, and derive the dirtiness report
+    from the same per-component solutions.  The
     *effective* methods come back from the solve — an exact component
     that outran its wall-clock slice re-solved approximately — so report
     and label describe what ran.  Approximated components that qualify
@@ -502,13 +498,11 @@ def _clean_deletions_decomposed(
             guarantee,
             exact_threshold,
             exact_budget_s,
-            per_component_budget_s,
             unit_cost_s=unit_cost_s,
         )
     with rec.span("phase.solve"):
         kept_lists, methods = solve_components(
-            decomp, [plan.method for plan in plans], parallel, plans=plans,
-            recorder=rec, executor=executor,
+            decomp, plans, parallel, recorder=rec, executor=executor
         )
     with rec.span("phase.merge"):
         lower_bounds = [None] * len(plans)
@@ -533,7 +527,6 @@ def clean(
     parallel: Optional[int] = None,
     exact_threshold: Optional[int] = None,
     exact_budget_s: Optional[float] = None,
-    per_component_budget_s: Optional[float] = None,
     unit_cost_s: Optional[float] = None,
     recorder=None,
     executor=None,
@@ -579,9 +572,9 @@ def clean(
         bound worst-case latency; on the global path it bounds the whole
         table size instead.
     exact_budget_s:
-        **Global** exact-solve budget in wall-clock seconds (default:
-        unlimited).  On the decomposed deletions path it drives the
-        difficulty scheduler
+        The one exact-solve budget: **global** wall-clock seconds for
+        the whole instance (default: unlimited).  On the decomposed
+        deletions path it drives the difficulty scheduler
         (:func:`repro.core.decompose.plan_schedule`): components are
         ranked by predicted branch & bound difficulty, granted exact
         solves easiest-first while the *predicted* cumulative cost fits
@@ -596,15 +589,9 @@ def clean(
         fallback honestly.  On the updates strategy the budget bounds
         the assessment bracket only: the U-repair solvers search update
         space, not vertex covers, and carry their own node-count budget
-        (``exact_budget`` in :mod:`repro.core.urepair`).
-    per_component_budget_s:
-        The historical *per-solve* wall-clock ceiling (default:
-        unlimited) — the pre-scheduler semantics of ``exact_budget_s``.
-        Usable alone (every ≤-threshold component attempted, each solve
-        individually capped) or together with the global budget (each
-        scheduled slice additionally capped).  With a per-solve budget
-        set and no global one, results may legitimately differ run to
-        run on components near the budget boundary.
+        (``exact_budget`` in :mod:`repro.core.urepair`).  On the global
+        (``decomposed=False``) deletions path it bounds the one global
+        exact solve.
     unit_cost_s:
         Seconds one unit of predicted difficulty costs on this machine
         (default: the hand-calibrated
@@ -635,8 +622,7 @@ def clean(
         raise ValueError(f"unknown guarantee {guarantee!r}")
     rec = _obs.resolve(recorder)
     defaults = resolve_plan_defaults(
-        exact_threshold, None, exact_budget_s, per_component_budget_s,
-        unit_cost_s,
+        exact_threshold, None, exact_budget_s, unit_cost_s
     )
     threshold = defaults.threshold
     with rec.span("pipeline.clean", strategy=strategy, guarantee=guarantee):
@@ -656,12 +642,12 @@ def clean(
             # twice.
             return _clean_deletions_decomposed(
                 table, fds, guarantee, index, parallel, threshold,
-                exact_budget_s, per_component_budget_s,
-                defaults.unit_cost_s, recorder=rec, executor=executor,
+                exact_budget_s, defaults.unit_cost_s, recorder=rec,
+                executor=executor,
             )
         return _clean_global(
             table, fds, strategy, guarantee, index, decomposed, parallel,
-            threshold, exact_budget_s, per_component_budget_s, rec,
+            threshold, exact_budget_s, rec,
         )
 
 
@@ -675,25 +661,18 @@ def _clean_global(
     parallel: Optional[int],
     threshold: int,
     exact_budget_s: Optional[float],
-    per_component_budget_s: Optional[float],
     rec,
 ) -> CleaningResult:
     """The non-decomposed-deletions tail of :func:`clean` (global
     S-repair and both U-repair paths): assess, then one global solve
-    under a ``phase.solve`` span."""
+    under a ``phase.solve`` span, bounded by *exact_budget_s* alone."""
     report = assess(
         table, fds, index=index, decomposed=decomposed,
         exact_threshold=threshold, exact_budget_s=exact_budget_s,
-        per_component_budget_s=per_component_budget_s, recorder=rec,
+        recorder=rec,
     )
 
     if strategy == "deletions":
-        # One global solve: the global budget and the per-solve ceiling
-        # coincide, whichever is set bounds it.
-        solve_budget_s = (
-            exact_budget_s if exact_budget_s is not None
-            else per_component_budget_s
-        )
         with rec.span("phase.solve"):
             if guarantee == "fast" or (
                 guarantee == "best"
@@ -704,7 +683,7 @@ def _clean_global(
             else:
                 try:
                     result = optimal_s_repair(
-                        table, fds, index=index, exact_budget_s=solve_budget_s
+                        table, fds, index=index, exact_budget_s=exact_budget_s
                     )
                 except ExactBudgetExceeded:
                     if guarantee == "optimal":

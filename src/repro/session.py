@@ -36,6 +36,7 @@ per-component solves are pure functions of content the cache key freezes.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import threading
 from dataclasses import asdict, dataclass
@@ -238,21 +239,16 @@ class RepairSession:
         Component-size boundary for exact solving on hard Δ (default
         :data:`~repro.core.decompose.EXACT_COMPONENT_THRESHOLD`).
     exact_budget_s:
-        **Global** exact-solve budget in wall-clock seconds (default:
-        unlimited), as in :func:`repro.pipeline.clean`: each repair's
-        components are ranked by predicted difficulty and granted exact
-        solves easiest-first while the predicted spend fits; the
-        residual tail is planned approximate up front.  Each granted
+        The one exact-solve budget: **global** wall-clock seconds per
+        repair (default: unlimited), as in :func:`repro.pipeline.clean`:
+        each repair's components are ranked by predicted difficulty and
+        granted exact solves easiest-first while the predicted spend
+        fits; the residual tail is planned approximate up front.  Each granted
         solve ships its slice as a hard ceiling; one that outruns it
         falls back to the 2-approximation, recorded in the component
         cache so the fallback is sticky while the component's content
-        (and scheduled slice) is unchanged.
-    per_component_budget_s:
-        The historical *per-solve* wall-clock ceiling (default:
-        unlimited) — every exact solve is individually capped, with no
-        difficulty scheduling.  May be combined with the global budget,
-        in which case each scheduled slice is additionally capped.
-        Ships to the warm workers as their namespace budget.
+        (and scheduled slice) is unchanged.  Slices travel with each
+        solve task; the warm workers hold no budget of their own.
     parallel:
         Worker count for solving cache misses.  With ``> 1`` the session
         keeps a :class:`~repro.exec.PersistentWorkerPool` of warm
@@ -315,7 +311,6 @@ class RepairSession:
         guarantee: str = "best",
         exact_threshold: Optional[int] = None,
         exact_budget_s: Optional[float] = None,
-        per_component_budget_s: Optional[float] = None,
         unit_cost_s: Optional[float] = None,
         parallel: Optional[int] = None,
         node_limit: Optional[int] = None,
@@ -332,12 +327,10 @@ class RepairSession:
         self._fds = fds
         self._guarantee = guarantee
         defaults = resolve_plan_defaults(
-            exact_threshold, node_limit, exact_budget_s,
-            per_component_budget_s, unit_cost_s,
+            exact_threshold, node_limit, exact_budget_s, unit_cost_s
         )
         self._threshold = defaults.threshold
         self._exact_budget_s = defaults.exact_budget_s
-        self._per_component_budget_s = defaults.per_component_budget_s
         self._unit_cost_s = defaults.unit_cost_s
         self._parallel = parallel
         self._node_limit = defaults.node_limit
@@ -379,7 +372,6 @@ class RepairSession:
                 self._schema,
                 self._node_limit,
                 self._exact_budget_s,
-                self._per_component_budget_s,
                 self._unit_cost_s,
             )
             if solutions is not None
@@ -656,8 +648,8 @@ class RepairSession:
         budget: whether such a solve succeeds (and stays sticky on
         fallback) depends on its slice, which shifts as the schedule
         around the component changes — keying on it keeps cached
-        fallbacks honest.  Legacy (no global budget) keys are unchanged,
-        so existing sticky-fallback behaviour is untouched."""
+        fallbacks honest.  Without a budget no solve has a slice, and
+        keys carry no epoch."""
         cached = self._component_reuse.get(tuple(member_ids))
         if cached is not None:
             content = cached[1]
@@ -737,19 +729,14 @@ class RepairSession:
             # bound to this session's namespace for its whole life.
             from .exec import PersistentWorkerPool
 
-            # The namespace default budget is the *per-solve* ceiling:
-            # globally-scheduled exact solves ship their slice per task,
-            # so the namespace default only governs tasks without one.
             pool = PersistentWorkerPool(
-                self._parallel, node_limit=self._node_limit,
-                budget_s=self._per_component_budget_s,
+                self._parallel, node_limit=self._node_limit
             )
             if (
                 pool.start()
                 and pool.open_session(
                     self._session_key, self._schema, self._fds,
                     node_limit=self._node_limit,
-                    budget_s=self._per_component_budget_s,
                 )
                 and pool.broadcast(
                     ("reset", self._mirror_rows(self._rows), dict(self._weights)),
@@ -770,7 +757,6 @@ class RepairSession:
                 and self._pool.open_session(
                     self._session_key, self._schema, self._fds,
                     node_limit=self._node_limit,
-                    budget_s=self._per_component_budget_s,
                 )
                 and self._pool.broadcast(
                     ("reset", self._mirror_rows(self._rows), dict(self._weights)),
@@ -811,9 +797,8 @@ class RepairSession:
 
         Each miss carries its :class:`~repro.core.decompose.ComponentPlan`;
         a plan with a budget ships it per task (the globally-scheduled
-        slice, or the per-solve ceiling on the legacy path), one without
-        defers to the worker namespace default.  On the warm pool when
-        available (ids-only payloads), in-process otherwise; any pool
+        slice), one without has no wall-clock ceiling.  On the warm pool
+        when available (ids-only payloads), in-process otherwise; any pool
         failure falls back serially — the solvers are pure and the plan
         is the same either way, so the retry is safe and byte-identical.
 
@@ -907,10 +892,10 @@ class RepairSession:
 
         The result is byte-identical to
         ``pipeline.clean(session.table, fds, guarantee=..., parallel=...,
-        exact_threshold=..., exact_budget_s=...,
-        per_component_budget_s=...)`` — same cleaned table, distance,
-        dirtiness report, and portfolio label.  The schedule is re-planned
-        per call (it is pure arithmetic over the current components);
+        exact_threshold=..., exact_budget_s=...)`` — same cleaned table,
+        distance, dirtiness report, and portfolio label.  The schedule is
+        re-planned per call (it is pure arithmetic over the current
+        components);
         under a global budget an exact solve's cache key carries its
         scheduled slice, so a slice change — the schedule shifting as
         components come and go — re-solves rather than serving a result
@@ -926,7 +911,6 @@ class RepairSession:
                     self._guarantee,
                     self._threshold,
                     self._exact_budget_s,
-                    self._per_component_budget_s,
                     self._node_limit,
                     self._unit_cost_s,
                 )
@@ -1086,7 +1070,6 @@ class RepairSession:
                 "guarantee": self._guarantee,
                 "exact_threshold": self._threshold,
                 "exact_budget_s": self._exact_budget_s,
-                "per_component_budget_s": self._per_component_budget_s,
                 "unit_cost_s": self._unit_cost_s,
                 "parallel": self._parallel,
                 "node_limit": self._node_limit,
@@ -1112,7 +1095,21 @@ class RepairSession:
         """Rebuild a session from :meth:`export_state` output, attaching
         it to the given (possibly shared) pool, solution cache, and
         recorder (recorders are process-lifecycle, not engine state, so
-        they re-attach like pools rather than serialising)."""
+        they re-attach like pools rather than serialising).
+
+        An option the constructor no longer takes (a state exported
+        before the option was retired, such as the per-component budget)
+        is dropped when unset (``None``); a set one raises
+        ``ValueError`` naming it, since its meaning cannot be restored."""
+        options = dict(state["options"])
+        accepted = inspect.signature(cls).parameters
+        for name in [name for name in options if name not in accepted]:
+            value = options.pop(name)
+            if value is not None:
+                raise ValueError(
+                    f"cannot restore session option {name}={value!r}: "
+                    "the option was retired"
+                )
         schema = tuple(state["schema"])
         table = Table._from_trusted(
             schema,
@@ -1128,7 +1125,7 @@ class RepairSession:
             session_key=session_key,
             solutions=solutions,
             recorder=recorder,
-            **state["options"],
+            **options,
         )
         session._used_ids |= set(state["used_ids"])
         # Adopt the exported allocator reading *exactly* (the

@@ -42,6 +42,7 @@ from time import monotonic as _monotonic
 from typing import Optional, Sequence
 
 from . import faults as _faults
+from .core.decompose import DEFAULT_NODE_LIMIT
 from .exec import SupervisedExecutor, worker_loop
 from .protocol import decode_line, encode
 
@@ -302,8 +303,7 @@ class ShardedExecutor(SupervisedExecutor):
     noun = "shard"
 
     def __init__(self, shards: int, schema=None, fds=None,
-                 node_limit: int = 2000,
-                 budget_s: Optional[float] = None, *,
+                 node_limit: int = DEFAULT_NODE_LIMIT, *,
                  rpc_timeout_s: float = 30.0,
                  rpc_retries: int = 2,
                  retry_backoff_s: float = 0.05,
@@ -318,7 +318,7 @@ class ShardedExecutor(SupervisedExecutor):
                  recorder=None):
         heartbeat_s = max(0.05, float(heartbeat_interval_s))
         super().__init__(
-            _StdioTransport(), shards, schema, fds, node_limit, budget_s,
+            _StdioTransport(), shards, schema, fds, node_limit,
             deadline_s=max(0.05, float(rpc_timeout_s)),
             resends=rpc_retries, resend_backoff_s=retry_backoff_s,
             resend_backoff_cap_s=retry_backoff_cap_s,

@@ -1,8 +1,12 @@
 """Tests for table serialisation and the command-line interface."""
 
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core.fd import FDSet
 from repro.datagen.office import office_table
 from repro.io import table_from_csv, table_from_json, table_to_csv, table_to_json
@@ -188,3 +192,27 @@ class TestSerialisationSemantics:
         capsys.readouterr()
         result = table_from_csv(out)
         assert len(result) == 4  # updates preserve all identifiers
+
+
+#: README flags that belong to helper scripts, not to ``fdrepair``.
+_NON_CLI_FLAGS = {"--chaos"}  # scripts/serve_smoke.py
+
+
+def _cli_options(parser, found):
+    for action in parser._actions:
+        found.update(s for s in action.option_strings if s.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                _cli_options(sub, found)
+    return found
+
+
+def test_readme_cites_only_existing_cli_flags():
+    """Every ``--flag`` the README mentions is an option of some
+    ``fdrepair`` subcommand, so removing an option fails until the docs
+    stop citing it."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    cited = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme.read_text()))
+    assert cited, "README cites no flags at all: the scan is broken"
+    unknown = cited - _cli_options(build_parser(), set()) - _NON_CLI_FLAGS
+    assert not unknown, f"README cites flags fdrepair lacks: {sorted(unknown)}"

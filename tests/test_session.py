@@ -171,6 +171,56 @@ def test_session_exact_budget_knob(monkeypatch):
     assert satisfies(again.cleaned, fds)
 
 
+def _old_format_state(per_component_budget_s):
+    """A session state as exported before the per-component budget was
+    retired: its options still carry ``per_component_budget_s``."""
+    rows = {1: ("a1", "b1", "c1"), 2: ("a1", "b2", "c1"),
+            3: ("a2", "b2", "c2"), 4: ("a3", "b3", "c3")}
+    return {
+        "version": 1,
+        "schema": SCHEMA,
+        "name": "R",
+        "fds": FDSet("A -> B; B -> C"),
+        "rows": rows,
+        "weights": {1: 1.0, 2: 2.0, 3: 1.0, 4: 1.0},
+        "used_ids": {1, 2, 3, 4},
+        "next_auto_id": 5,
+        "options": {
+            "guarantee": "best",
+            "exact_threshold": 128,
+            "exact_budget_s": None,
+            "per_component_budget_s": per_component_budget_s,
+            "unit_cost_s": 2e-5,
+            "parallel": None,
+            "node_limit": 2000,
+            "max_cache_entries": 10_000,
+            "pool_timeout": 600.0,
+        },
+        "solutions": {},
+        "stats": {
+            "appends": 0, "deletes": 0, "repairs": 0, "cache_hits": 0,
+            "cache_misses": 0, "pool_solves": 0, "serial_solves": 0,
+            "pool_fallbacks": 0, "tuples_appended": 0, "tuples_deleted": 0,
+        },
+    }
+
+
+def test_restore_accepts_old_state_with_unset_per_component_budget():
+    """A daemon snapshot from before the retirement restores: the unset
+    option is dropped, and the session repairs like a fresh ``clean``."""
+    state = _old_format_state(None)
+    session = RepairSession.restore(state)
+    assert "per_component_budget_s" not in session.export_state()["options"]
+    _assert_identical(
+        session.repair(), clean(_fresh_equivalent(session), state["fds"])
+    )
+
+
+def test_restore_rejects_old_state_with_a_per_component_budget():
+    with pytest.raises(ValueError, match="per_component_budget_s"):
+        RepairSession.restore(_old_format_state(0.5))
+
+
 # ---------------------------------------------------------------------------
 # The component cache
 # ---------------------------------------------------------------------------
