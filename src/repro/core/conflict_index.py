@@ -17,14 +17,18 @@ A :class:`ConflictIndex` holds, per (nontrivial) FD ``X → Y``:
   eviction;
 
 plus the *materialised conflict graph* as an adjacency map with degree
-and weight bookkeeping.  :meth:`remove` evicts one tuple in
-O(degree + |Δ|) — the affected buckets only — instead of an O(|T|·|Δ|)
-rebuild, which is what makes index-driven greedy deletion loops linear
-instead of quadratic.  :meth:`insert` is the symmetric counterpart: a
-new tuple joins its lhs buckets and gains exactly the conflict edges
-its rhs disagreement implies, in O(lhs-group size + |Δ|) — the substrate
-of the streaming :class:`repro.session.RepairSession`, which re-repairs
-only the components a tuple delta touches.
+and weight bookkeeping.  Adjacency is stored for conflicting tuples
+only: a conflict-free tuple belongs to every optimal S-repair, so no
+solver reads its (empty) neighbourhood, and on realistic dirtiness the
+conflicting tuples are a few percent of the table.  :meth:`remove`
+evicts one tuple in O(degree + |Δ|) — the affected buckets only —
+instead of an O(|T|·|Δ|) rebuild, which is what makes index-driven
+greedy deletion loops linear instead of quadratic.  :meth:`insert` is
+the symmetric counterpart: a new tuple joins its lhs buckets and gains
+exactly the conflict edges its rhs disagreement implies, in
+O(lhs-group size + |Δ|) — the substrate of the streaming
+:class:`repro.session.RepairSession`, which re-repairs only the
+components a tuple delta touches.
 
 The index quacks like :class:`repro.graphs.graph.Graph` for the read
 access :func:`~repro.graphs.vertex_cover.bar_yehuda_even` and
@@ -42,7 +46,17 @@ are pristine and shared; call :meth:`copy` before mutating.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..graphs.graph import Graph
 from . import kernel as _kernel
@@ -50,6 +64,9 @@ from .fd import FD, FDSet
 from .table import Row, Table, TupleId, Value
 
 __all__ = ["ConflictIndex"]
+
+#: The neighbourhood of every conflict-free live tuple (no adjacency entry).
+_NO_NEIGHBORS: AbstractSet[TupleId] = frozenset()
 
 
 class _FDBuckets:
@@ -100,6 +117,11 @@ class _FDBuckets:
 class ConflictIndex:
     """Per-FD bucket indexes + the materialised conflict graph of a table.
 
+    The graph keeps adjacency for conflicting tuples only: the keys of
+    ``_adj`` are exactly the live tuples with at least one conflict, on
+    every build (kernel or reference), projection, copy and mutation.
+    Conflict-free live tuples are tracked by the live-weight map alone.
+
     Parameters
     ----------
     table:
@@ -124,7 +146,6 @@ class ConflictIndex:
         "_next_position",
         "_position_shared",
         "_lazy_bucket_table",
-        "_conflicting",
         "_codec",
         "_kernel",
         "_mask_cache",
@@ -134,9 +155,6 @@ class ConflictIndex:
         self.fds = fds
         self._source: "weakref.ref[Table]" = weakref.ref(table)
         self._live: Dict[TupleId, float] = dict(table._weights)
-        self._position: Dict[TupleId, int] = {
-            tid: i for i, tid in enumerate(self._live)
-        }
         self._next_position = len(self._live)
         self._position_shared = False
         self._num_edges = 0
@@ -159,13 +177,12 @@ class ConflictIndex:
         self._codec: Optional[_kernel.TableCodec] = None
         self._kernel: Optional[_kernel.ConflictKernel] = None
         self._mask_cache: Optional[Tuple[List[TupleId], List[float], List[int]]] = None
-        # _conflicting: live tuples with at least one conflict,
-        # maintained under insert/remove so components() costs
-        # O(conflicting) instead of O(|T|) — on realistic dirtiness (a
-        # few % of tuples conflicting) that is the difference between
-        # re-decomposing per streaming delta and scanning the whole
-        # table each time.  The build derives it from the kernel's
-        # conflicting rows.
+        # _build sets _position (tuple id → table position) and _adj,
+        # keyed by the live conflicting tuples only (maintained under
+        # insert/remove) so components() costs O(conflicting) instead of
+        # O(|T|): on realistic dirtiness (a few % of tuples conflicting)
+        # that is the difference between re-decomposing per streaming
+        # delta and scanning the whole table each time.
         self._build(table)
 
     def _build(self, table: Table) -> None:
@@ -176,25 +193,28 @@ class ConflictIndex:
         Produces the same live/adjacency/edge-count state as the dict
         build of :class:`repro.testing.ReferenceConflictIndex` (the
         kernel grouping is grouping by value equality, which is all the
-        dict build observes); the per-FD buckets are left
-        lazy — most consumers (the vertex-cover solvers, decomposition)
-        never read them, and :meth:`_ensure_buckets` reconstructs them
-        exactly when :meth:`insert` or :meth:`violating_pairs` does.
+        dict build observes).  Adjacency comes from the CSR slices of
+        the conflicting rows alone, and the position map *is* the
+        codec's ``row_index`` — both number rows in table order, so a
+        second tuple → position dict would duplicate it.  The per-FD
+        buckets are left lazy — most consumers (the vertex-cover
+        solvers, decomposition) never read them, and
+        :meth:`_ensure_buckets` reconstructs them exactly when
+        :meth:`insert` or :meth:`violating_pairs` does.
         """
         codec = _kernel.TableCodec.encode(table)
         kern = _kernel.ConflictKernel(
             codec, _kernel.build_conflict_edges(codec, self._fd_specs)
         )
         ids = codec.ids
-        adj: Dict[TupleId, Set[TupleId]] = {tid: set() for tid in self._live}
-        for u, v in zip(kern.edges_u, kern.edges_v):
-            tu = ids[u]
-            tv = ids[v]
-            adj[tu].add(tv)
-            adj[tv].add(tu)
-        self._adj = adj
+        indptr = kern.indptr
+        indices = kern.indices
+        self._adj: Dict[TupleId, Set[TupleId]] = {
+            ids[r]: set(map(ids.__getitem__, indices[indptr[r]:indptr[r + 1]]))
+            for r in kern.conflicting_rows
+        }
+        self._position: Dict[TupleId, int] = codec.row_index
         self._num_edges = kern.num_edges
-        self._conflicting = {ids[i] for i in kern.conflicting_rows}
         self._codec = codec
         self._kernel = kern
         # Lazy buckets, rebuilt on first use from the *codec* (which
@@ -259,11 +279,21 @@ class ConflictIndex:
         return self._removed_weight
 
     def degree(self, tid: TupleId) -> int:
-        return len(self._adj[tid])
+        return len(self.neighbors(tid))
 
-    def neighbors(self, tid: TupleId) -> Set[TupleId]:
-        """The live conflict partners of *tid* (read-only view)."""
-        return self._adj[tid]
+    def neighbors(self, tid: TupleId) -> AbstractSet[TupleId]:
+        """The live conflict partners of *tid* (read-only view).
+
+        A conflict-free live tuple has no adjacency entry and answers a
+        shared empty ``frozenset``; an unknown or removed id raises
+        ``KeyError``.
+        """
+        nbrs = self._adj.get(tid)
+        if nbrs is not None:
+            return nbrs
+        if tid not in self._live:
+            raise KeyError(tid)
+        return _NO_NEIGHBORS
 
     @property
     def num_edges(self) -> int:
@@ -277,7 +307,7 @@ class ConflictIndex:
 
     def conflicting_tuples(self) -> List[TupleId]:
         """Live tuples involved in at least one conflict, in table order."""
-        return sorted(self._conflicting, key=self._position.__getitem__)
+        return sorted(self._adj, key=self._position.__getitem__)
 
     def edges(self) -> List[Tuple[TupleId, TupleId]]:
         """Each conflict pair exactly once, in canonical table-position
@@ -287,11 +317,14 @@ class ConflictIndex:
         matching, the Bar-Yehuda–Even sweep) produce identical results on
         a live index and on a from-scratch rebuild of the same survivors
         — adjacency *sets* iterate differently depending on their
-        insertion/removal history.
+        insertion/removal history, and a tuple gaining its first edge
+        joins the adjacency map out of table order.
         """
         position = self._position
+        adj = self._adj
         out: List[Tuple[TupleId, TupleId]] = []
-        for tid, nbrs in self._adj.items():
+        for tid in sorted(adj, key=position.__getitem__):
+            nbrs = adj[tid]
             p = position[tid]
             forward = [other for other in nbrs if position[other] > p]
             if forward:
@@ -425,7 +458,7 @@ class ConflictIndex:
                 row_components = _kernel.components_csr(kern)
             else:
                 row_index = kern.codec.row_index
-                roots = sorted(row_index[tid] for tid in self._conflicting)
+                roots = sorted(row_index[tid] for tid in self._adj)
                 row_components = _kernel.components_csr_patched(kern, roots)
             return [
                 [ids[i] for i in members] for members in row_components
@@ -440,7 +473,7 @@ class ConflictIndex:
         # is C-level set arithmetic (adj[v] - seen) rather than a
         # per-neighbour membership loop; traversal order becomes
         # arbitrary, which the final member sort erases.
-        for tid in sorted(self._conflicting, key=position.__getitem__):
+        for tid in sorted(adj, key=position.__getitem__):
             if tid in seen:
                 continue
             stack = [tid]
@@ -459,8 +492,10 @@ class ConflictIndex:
 
     def consistent_ids(self) -> List[TupleId]:
         """Live tuples with no conflict, in table order — the tuples every
-        S-repair keeps and every U-repair leaves untouched."""
-        return [tid for tid, nbrs in self._adj.items() if not nbrs]
+        S-repair keeps and every U-repair leaves untouched: exactly the
+        live tuples without an adjacency entry."""
+        adj = self._adj
+        return [tid for tid in self._live if tid not in adj]
 
     def project(self, subtable: Table, ids: Set[TupleId]) -> "ConflictIndex":
         """The restriction of this index to *ids*, re-anchored on
@@ -495,16 +530,14 @@ class ConflictIndex:
         dup._next_position = self._next_position
         num_edges = 0
         adj: Dict[TupleId, Set[TupleId]] = {}
-        conflicting: Set[TupleId] = set()
+        parent_adj = self._adj
         for tid in dup._live:
-            nbrs = self._adj[tid] & ids
-            adj[tid] = nbrs
+            nbrs = parent_adj.get(tid, _NO_NEIGHBORS) & ids
             if nbrs:
-                conflicting.add(tid)
-            num_edges += len(nbrs)
+                adj[tid] = nbrs
+                num_edges += len(nbrs)
         dup._adj = adj
         dup._num_edges = num_edges // 2
-        dup._conflicting = conflicting
         dup._removed_weight = 0.0
         dup._arity = self._arity
         dup._fd_specs = self._fd_specs
@@ -554,7 +587,7 @@ class ConflictIndex:
         masks = [0] * len(members)
         for i, tid in enumerate(members):
             mask = 0
-            for other in adjacency[tid]:
+            for other in adjacency.get(tid, _NO_NEIGHBORS):
                 mask |= 1 << position[other]
             masks[i] = mask
         weights = [self._live[tid] for tid in members]
@@ -718,15 +751,14 @@ class ConflictIndex:
             kern.apply_remove(self._codec.row_index[tid])
         self._mask_cache = None
         self._removed_weight += weight
-        nbrs = self._adj.pop(tid)
-        self._num_edges -= len(nbrs)
-        self._conflicting.discard(tid)
         adj = self._adj
+        nbrs = adj.pop(tid, _NO_NEIGHBORS)
+        self._num_edges -= len(nbrs)
         for other in nbrs:
             other_nbrs = adj[other]
             other_nbrs.remove(tid)
             if not other_nbrs:
-                self._conflicting.discard(other)
+                del adj[other]
         if self._buckets is not None:
             for buckets in self._buckets:
                 buckets.discard(tid)
@@ -769,10 +801,7 @@ class ConflictIndex:
             raise ValueError(f"tuple {tid!r} has non-positive weight {weight}")
         buckets_list = self._ensure_buckets()
         self._mask_cache = None
-        if self._codec is not None:
-            # Keep the codes live: the appended tuple interns its values
-            # so coded shipping (worker pools) keeps working mid-stream.
-            self._codec.append_row(tid, row, weight)
+        codec = self._codec
         if self._position_shared and tid in self._position:
             # Copy-on-write: the position map may be shared with the
             # pristine cached index, a projection's parent, or sibling
@@ -780,14 +809,22 @@ class ConflictIndex:
             # safe (sharers only ever look up their own live tuples), but
             # *re-positioning* an identifier another holder may still
             # have live would corrupt its canonical edge order — so that
-            # is the case that forces a private map.
+            # is the case that forces a private map.  A kernel-built
+            # index's position map is its codec's row index, so the
+            # codec moves to the private copy too, before append_row
+            # writes the new row into it.
             self._position = dict(self._position)
             self._position_shared = False
+            if codec is not None:
+                codec.row_index = self._position
+        if codec is not None:
+            # Keep the codes live: the appended tuple interns its values
+            # so coded shipping (worker pools) keeps working mid-stream.
+            codec.append_row(tid, row, weight)
         self._live[tid] = weight
         self._position[tid] = self._next_position
         self._next_position += 1
         nbrs: Set[TupleId] = set()
-        self._adj[tid] = nbrs
         adj = self._adj
         new_edges = 0
         for buckets, (_fd, lhs_pos, rhs_pos) in zip(buckets_list, self._fd_specs):
@@ -800,13 +837,16 @@ class ConflictIndex:
                         for other in bucket:
                             if other not in nbrs:
                                 nbrs.add(other)
-                                adj[other].add(tid)
+                                other_nbrs = adj.get(other)
+                                if other_nbrs is None:
+                                    adj[other] = {tid}
+                                else:
+                                    other_nbrs.add(tid)
                                 new_edges += 1
             buckets.add(tid, lhs_key, rhs_key)
         self._num_edges += new_edges
-        if new_edges:
-            self._conflicting.add(tid)
-            self._conflicting.update(nbrs)
+        if nbrs:
+            adj[tid] = nbrs
         kern = self._kernel
         if kern is not None:
             # Patch the kernel view: the appended row grafts onto the
@@ -891,7 +931,6 @@ class ConflictIndex:
         dup._adj = {tid: set(nbrs) for tid, nbrs in self._adj.items()}
         dup._num_edges = self._num_edges
         dup._removed_weight = self._removed_weight
-        dup._conflicting = set(self._conflicting)
         dup._arity = self._arity
         dup._fd_specs = self._fd_specs
         # Neither the codec (mutable, extended by insert) nor the CSR

@@ -375,7 +375,7 @@ class ConflictKernel:
         # Rows with at least one conflict, ascending — the only roots a
         # component sweep needs to visit (typically a few % of |T|).
         # Valid while unpatched; afterwards the owning index supplies
-        # live roots from its conflicting-tuple set.
+        # live roots from its adjacency keys (its conflicting tuples).
         self.conflicting_rows = [i for i, d in enumerate(degree) if d]
         self.csr_rows = n
         self.extra_adj: Dict[int, List[int]] = {}
@@ -566,7 +566,7 @@ def components_csr_patched(
     C-level iteration over CSR slices merged with the overflow adjacency
     — no per-row Python set differences.  *roots* must be the live
     conflicting rows in ascending row order (the owning index supplies
-    them from its conflicting-tuple set; construction-time
+    them from its adjacency keys; construction-time
     ``conflicting_rows`` is stale on a patched view).  Dead rows are
     filtered through ``alive``; output matches
     :meth:`ConflictIndex.components` exactly (components by earliest

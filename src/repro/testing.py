@@ -105,6 +105,9 @@ class ReferenceConflictIndex(ConflictIndex):
     __slots__ = ()
 
     def _build(self, table: Table) -> None:
+        self._position: Dict[TupleId, int] = {
+            tid: i for i, tid in enumerate(self._live)
+        }
         self._adj: Dict[TupleId, Set[TupleId]] = {
             tid: set() for tid in self._live
         }
@@ -112,9 +115,9 @@ class ReferenceConflictIndex(ConflictIndex):
         self._buckets: List[_FDBuckets] = []
         for fd, _lhs_pos, rhs_pos in self._fd_specs:
             self._buckets.append(self._build_fd_buckets(table, fd, rhs_pos))
-        self._conflicting: Set[TupleId] = {
-            tid for tid, nbrs in self._adj.items() if nbrs
-        }
+        # Same invariant as the kernel build: adjacency keys are exactly
+        # the conflicting tuples.
+        self._adj = {tid: nbrs for tid, nbrs in self._adj.items() if nbrs}
 
     def _build_fd_buckets(
         self, table: Table, fd: FD, rhs_pos: List[int]

@@ -151,6 +151,12 @@ def test_remove_unknown_raises():
         index.remove(1)
     with pytest.raises(KeyError):
         index.remove("nope")
+    # Readers tell a removed or unknown id apart from a conflict-free one.
+    for tid in (1, "nope"):
+        with pytest.raises(KeyError):
+            index.degree(tid)
+        with pytest.raises(KeyError):
+            index.neighbors(tid)
 
 
 def test_removed_weight_bookkeeping():
@@ -251,6 +257,11 @@ def test_interleaved_inserts_deletes_match_rebuild(data):
         assert live.components() == rebuilt.components()
         assert live.consistent_ids() == rebuilt.consistent_ids()
         assert live.conflicting_tuples() == rebuilt.conflicting_tuples()
+        # Adjacency is kept for conflicting tuples only.
+        for index in (live, rebuilt):
+            assert set(index._adj) == set(index.conflicting_tuples())
+            assert all(index._adj.values())
+            assert all(not index.neighbors(t) for t in index.consistent_ids())
 
 
 def test_insert_validation():
@@ -269,9 +280,9 @@ def test_insert_validation():
 
 
 def test_insert_into_copy_does_not_leak_positions():
-    """Copies share the position map copy-on-write: re-inserting an id
-    the original still positions must not disturb the original's
-    canonical edge order."""
+    """Copies and projections share the position map copy-on-write:
+    re-inserting an id another holder still positions must not disturb
+    that holder's canonical edge order."""
     table = Table.from_rows(SCHEMA, [(1, 1, 1), (1, 2, 2), (2, 2, 2)])
     fds = FDSet("A -> B")
     original = ConflictIndex(table, fds)
@@ -284,6 +295,27 @@ def test_insert_into_copy_does_not_leak_positions():
         Table(SCHEMA, {2: (1, 2, 2), 3: (2, 2, 2), 1: (2, 9, 9)}), fds
     )
     assert working.edges() == rebuilt.edges()
+
+    # The owner re-inserts instead.  A kernel-built index positions its
+    # tuples through the codec's row index, which projections and copies
+    # share: the re-insert must detach it before the codec appends.
+    table = Table.from_rows(
+        SCHEMA, [(1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 2, 2)]
+    )
+    owner = ConflictIndex(table, fds)
+    projected = owner.project(table.subset([1, 2, 3]), {1, 2, 3})
+    copied = owner.copy()
+    projected_before = projected.edges()
+    copied_before = copied.edges()
+    owner.remove(1)
+    owner.insert(1, (1, 9, 9), 1.0)
+    assert projected.edges() == projected_before
+    assert copied.edges() == copied_before
+    rebuilt = ConflictIndex(
+        Table(SCHEMA, {2: (1, 2, 2), 3: (1, 3, 3), 4: (2, 2, 2), 1: (1, 9, 9)}),
+        fds,
+    )
+    assert owner.edges() == rebuilt.edges()
 
 
 def test_projection_buckets_are_lazy():
