@@ -201,6 +201,77 @@ def test_clustered_components_parallel_speedup(benchmark, config):
     assert speedup >= spec["min_speedup"]
 
 
+#: Rows of the serial-clean scaling family: 12-tuple conflict clusters at
+#: one cluster per 100 rows (12% of the rows conflict), as in perfbench's
+#: ``batch-300k`` workload.
+CLEAN_SCALING_SIZES = (30_000, 100_000, 300_000)
+
+#: The linearity gate: per-row build+clean seconds at the largest size may
+#: be at most this multiple of the figure at the smallest.
+CLEAN_SCALING_MAX_RATIO = 1.3
+
+
+def test_clean_scaling_per_row(benchmark):
+    """Serial ``clean`` is close to linear from 30k to 300k rows.
+
+    Per size: one clustered-conflicts table (A→B, B→C), then the best of
+    5 warm runs of index build + ``clean`` with GC on, each from an
+    empty derived cache (the table itself is built and the previous
+    run's index freed outside the timed region).  The per-row seconds
+    go to ``BENCH_scaling.json``; the 300k figure must stay within
+    ``CLEAN_SCALING_MAX_RATIO`` × the 30k one — every per-row step
+    outside the conflicts runs at C speed, so nothing should grow
+    faster than the rows.
+    """
+    import gc
+
+    from repro.pipeline import clean
+
+    fds = FDSet("A -> B; B -> C")
+    per_row = {}
+    distances = {}
+    for n in CLEAN_SCALING_SIZES:
+        table = clustered_conflicts_table(
+            ("A", "B", "C"), n, clusters=n // 100, cluster_size=12, seed=7
+        )
+        times = []
+        result = None
+        for run in range(6):  # one warm-up, then five timed runs
+            result = None
+            table.clear_derived_cache()
+            gc.collect()
+            start = time.perf_counter()
+            result = clean(table, fds)
+            elapsed = time.perf_counter() - start
+            if run:
+                times.append(elapsed)
+        assert result.optimal
+        per_row[n] = min(times) / n
+        distances[n] = result.distance
+        del table, result
+    small, large = CLEAN_SCALING_SIZES[0], CLEAN_SCALING_SIZES[-1]
+    ratio = per_row[large] / per_row[small]
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    print_table(
+        "Serial clean scaling (clustered conflicts, A -> B; B -> C)",
+        ("|T|", "best build+clean", "per row"),
+        [
+            (n, f"{per_row[n] * n * 1e3:.0f} ms", f"{per_row[n] * 1e6:.2f} µs")
+            for n in CLEAN_SCALING_SIZES
+        ],
+    )
+    record_bench(
+        "BENCH_scaling.json",
+        "clean-scaling-clustered",
+        per_row[large] * large,
+        per_row_us={str(n): round(per_row[n] * 1e6, 3) for n in per_row},
+        per_row_ratio=round(ratio, 3),
+        max_ratio=CLEAN_SCALING_MAX_RATIO,
+        distances={str(n): distances[n] for n in distances},
+    )
+    assert ratio <= CLEAN_SCALING_MAX_RATIO
+
+
 def test_conflict_index_reuse(benchmark):
     """The conflict substrate is built once per ``(table, Δ)`` and shared:
     assessment, the 2-approximation, and any batched entry point all read

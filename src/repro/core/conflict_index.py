@@ -16,12 +16,14 @@ A :class:`ConflictIndex` holds, per (nontrivial) FD ``X → Y``:
 * the reverse map ``tuple id → (lhs-key, rhs-key)`` enabling O(1) bucket
   eviction;
 
-plus the *materialised conflict graph* as an adjacency map with degree
-and weight bookkeeping.  Adjacency is stored for conflicting tuples
-only: a conflict-free tuple belongs to every optimal S-repair, so no
-solver reads its (empty) neighbourhood, and on realistic dirtiness the
-conflicting tuples are a few percent of the table.  :meth:`remove`
-evicts one tuple in O(degree + |Δ|) — the affected buckets only —
+plus the *conflict graph*, built once as the flat CSR arrays of a
+:class:`~repro.core.kernel.ConflictKernel`, with an adjacency map
+derived from them on first use and degree and weight bookkeeping.
+Adjacency is stored for conflicting tuples only: a conflict-free tuple
+belongs to every optimal S-repair, so no solver reads its (empty)
+neighbourhood, and on realistic dirtiness the conflicting tuples are a
+few percent of the table.  :meth:`remove` evicts one tuple in
+O(degree + |Δ|) — the affected buckets only —
 instead of an O(|T|·|Δ|) rebuild, which is what makes index-driven
 greedy deletion loops linear instead of quadratic.  :meth:`insert` is
 the symmetric counterpart: a new tuple joins its lhs buckets and gains
@@ -46,6 +48,8 @@ are pristine and shared; call :meth:`copy` before mutating.
 from __future__ import annotations
 
 import weakref
+from itertools import compress
+from operator import gt
 from typing import (
     AbstractSet,
     Dict,
@@ -117,10 +121,22 @@ class _FDBuckets:
 class ConflictIndex:
     """Per-FD bucket indexes + the materialised conflict graph of a table.
 
-    The graph keeps adjacency for conflicting tuples only: the keys of
-    ``_adj`` are exactly the live tuples with at least one conflict, on
-    every build (kernel or reference), projection, copy and mutation.
-    Conflict-free live tuples are tracked by the live-weight map alone.
+    The graph keeps adjacency for conflicting tuples only: once built,
+    the keys of ``_adj`` are exactly the live tuples with at least one
+    conflict, on every build (kernel or reference), projection, copy and
+    mutation.  Conflict-free live tuples are tracked by the live-weight
+    map alone.
+
+    The dict adjacency is built on demand.  It is unbuilt (``None``) in
+    exactly two pristine states: a never-mutated kernel build, whose CSR
+    arrays are the live graph, and a pristine projection of one, whose
+    mask view was seeded from the parent's CSR slices.  The array and
+    mask fast paths and the bounds answer from those without it, as do
+    :meth:`components`, :meth:`consistent_ids` and
+    :meth:`conflicting_tuples` on a kernel build; the first
+    tuple-id reader (:meth:`neighbors`, :meth:`edges`, :meth:`copy`, …)
+    or the first :meth:`insert`/:meth:`remove` derives it
+    (:meth:`_adjacency`), and mutations maintain it from then on.
 
     Parameters
     ----------
@@ -177,12 +193,13 @@ class ConflictIndex:
         self._codec: Optional[_kernel.TableCodec] = None
         self._kernel: Optional[_kernel.ConflictKernel] = None
         self._mask_cache: Optional[Tuple[List[TupleId], List[float], List[int]]] = None
-        # _build sets _position (tuple id → table position) and _adj,
-        # keyed by the live conflicting tuples only (maintained under
-        # insert/remove) so components() costs O(conflicting) instead of
-        # O(|T|): on realistic dirtiness (a few % of tuples conflicting)
-        # that is the difference between re-decomposing per streaming
-        # delta and scanning the whole table each time.
+        # _build sets _position (tuple id → table position) and leaves
+        # _adj unbuilt; once derived it is keyed by the live conflicting
+        # tuples only (maintained under insert/remove) so components()
+        # costs O(conflicting) instead of O(|T|): on realistic dirtiness
+        # (a few % of tuples conflicting) that is the difference between
+        # re-decomposing per streaming delta and scanning the whole table
+        # each time.
         self._build(table)
 
     def _build(self, table: Table) -> None:
@@ -193,12 +210,14 @@ class ConflictIndex:
         Produces the same live/adjacency/edge-count state as the dict
         build of :class:`repro.testing.ReferenceConflictIndex` (the
         kernel grouping is grouping by value equality, which is all the
-        dict build observes).  Adjacency comes from the CSR slices of
-        the conflicting rows alone, and the position map *is* the
-        codec's ``row_index`` — both number rows in table order, so a
-        second tuple → position dict would duplicate it.  The per-FD
-        buckets are left lazy — most consumers (the vertex-cover
-        solvers, decomposition) never read them, and
+        dict build observes).  The dict adjacency is not built here:
+        :meth:`_adjacency` derives it from the CSR slices of the
+        conflicting rows the first time a tuple-id reader or a mutation
+        needs it, and the batch repair path never does.  The position
+        map *is* the codec's ``row_index`` — both number rows in table
+        order, so a second tuple → position dict would duplicate it.
+        The per-FD buckets are left lazy — most consumers (the
+        vertex-cover solvers, decomposition) never read them, and
         :meth:`_ensure_buckets` reconstructs them exactly when
         :meth:`insert` or :meth:`violating_pairs` does.
         """
@@ -206,13 +225,7 @@ class ConflictIndex:
         kern = _kernel.ConflictKernel(
             codec, _kernel.build_conflict_edges(codec, self._fd_specs)
         )
-        ids = codec.ids
-        indptr = kern.indptr
-        indices = kern.indices
-        self._adj: Dict[TupleId, Set[TupleId]] = {
-            ids[r]: set(map(ids.__getitem__, indices[indptr[r]:indptr[r + 1]]))
-            for r in kern.conflicting_rows
-        }
+        self._adj = None  # derived from the CSR on first use
         self._position: Dict[TupleId, int] = codec.row_index
         self._num_edges = kern.num_edges
         self._codec = codec
@@ -288,12 +301,46 @@ class ConflictIndex:
         shared empty ``frozenset``; an unknown or removed id raises
         ``KeyError``.
         """
-        nbrs = self._adj.get(tid)
+        nbrs = self._adjacency().get(tid)
         if nbrs is not None:
             return nbrs
         if tid not in self._live:
             raise KeyError(tid)
         return _NO_NEIGHBORS
+
+    def _adjacency(self) -> Dict[TupleId, Set[TupleId]]:
+        """The dict-of-sets adjacency, derived on first use.
+
+        Unbuilt only in the two pristine states (see the class
+        docstring): a never-mutated kernel build derives it from its CSR
+        slices, a pristine projection from its seeded mask view.  From
+        then on it is maintained incrementally by :meth:`insert` and
+        :meth:`remove`, which call here before they mutate anything.
+        """
+        adj = self._adj
+        if adj is None:
+            kern = self._kernel
+            if kern is not None:
+                ids = kern.codec.ids
+                indptr = kern.indptr
+                indices = kern.indices
+                adj = {
+                    ids[r]: set(
+                        map(ids.__getitem__, indices[indptr[r]:indptr[r + 1]])
+                    )
+                    for r in kern.conflicting_rows
+                }
+            else:
+                members, _weights, masks = self._mask_cache
+                adj = {
+                    members[i]: set(
+                        map(members.__getitem__, _kernel._bits_ascending(mask))
+                    )
+                    for i, mask in enumerate(masks)
+                    if mask
+                }
+            self._adj = adj
+        return adj
 
     @property
     def num_edges(self) -> int:
@@ -307,7 +354,10 @@ class ConflictIndex:
 
     def conflicting_tuples(self) -> List[TupleId]:
         """Live tuples involved in at least one conflict, in table order."""
-        return sorted(self._adj, key=self._position.__getitem__)
+        kern = self._kernel_view()
+        if kern is not None and not kern.patched:
+            return list(map(kern.codec.ids.__getitem__, kern.conflicting_rows))
+        return sorted(self._adjacency(), key=self._position.__getitem__)
 
     def edges(self) -> List[Tuple[TupleId, TupleId]]:
         """Each conflict pair exactly once, in canonical table-position
@@ -321,7 +371,7 @@ class ConflictIndex:
         joins the adjacency map out of table order.
         """
         position = self._position
-        adj = self._adj
+        adj = self._adjacency()
         out: List[Tuple[TupleId, TupleId]] = []
         for tid in sorted(adj, key=position.__getitem__):
             nbrs = adj[tid]
@@ -458,13 +508,13 @@ class ConflictIndex:
                 row_components = _kernel.components_csr(kern)
             else:
                 row_index = kern.codec.row_index
-                roots = sorted(row_index[tid] for tid in self._adj)
+                roots = sorted(row_index[tid] for tid in self._adjacency())
                 row_components = _kernel.components_csr_patched(kern, roots)
             return [
                 [ids[i] for i in members] for members in row_components
             ]
         position = self._position
-        adj = self._adj
+        adj = self._adjacency()
         seen: Set[TupleId] = set()
         out: List[List[TupleId]] = []
         # Roots visited in table (position) order yield components listed
@@ -493,8 +543,14 @@ class ConflictIndex:
     def consistent_ids(self) -> List[TupleId]:
         """Live tuples with no conflict, in table order — the tuples every
         S-repair keeps and every U-repair leaves untouched: exactly the
-        live tuples without an adjacency entry."""
-        adj = self._adj
+        live tuples without an adjacency entry.  A kernel-built index
+        reads them off its live degrees at C speed (row order is table
+        order; alive > degree holds exactly for a live row of degree 0).
+        """
+        kern = self._kernel_view()
+        if kern is not None:
+            return list(compress(kern.codec.ids, map(gt, kern.alive, kern.degree)))
+        adj = self._adjacency()
         return [tid for tid in self._live if tid not in adj]
 
     def project(self, subtable: Table, ids: Set[TupleId]) -> "ConflictIndex":
@@ -514,8 +570,12 @@ class ConflictIndex:
         cache-hit components are never solved at all, so the per-FD
         buckets are rebuilt from the (strongly held) sub-table's rows
         only if something actually reads or mutates them
-        (:meth:`_ensure_buckets`).  Projection therefore costs the
-        adjacency filter alone.
+        (:meth:`_ensure_buckets`).  Adjacency is lazy too: a projection
+        of a pristine kernel build (at most
+        :data:`~repro.core.kernel.MAX_BITMASK_VERTICES` tuples) gets its
+        mask view from the parent's CSR slices — what the solvers read —
+        and derives its dict adjacency from the masks only if asked.
+        Projection therefore costs one pass over the members' edges.
         """
         dup = object.__new__(type(self))
         dup.fds = self.fds
@@ -528,26 +588,40 @@ class ConflictIndex:
         dup._position_shared = True
         self._position_shared = True
         dup._next_position = self._next_position
-        num_edges = 0
-        adj: Dict[TupleId, Set[TupleId]] = {}
-        parent_adj = self._adj
-        for tid in dup._live:
-            nbrs = parent_adj.get(tid, _NO_NEIGHBORS) & ids
-            if nbrs:
-                adj[tid] = nbrs
-                num_edges += len(nbrs)
-        dup._adj = adj
-        dup._num_edges = num_edges // 2
         dup._removed_weight = 0.0
         dup._arity = self._arity
         dup._fd_specs = self._fd_specs
-        # Kernel view: the parent's CSR arrays and codec are
-        # row-indexed against the *parent* snapshot and are not
-        # projected — the mask view rebuilds from the filtered
-        # adjacency in O(component) when a fast path asks for it.
+        # The parent's CSR arrays and codec are row-indexed against the
+        # *parent* snapshot and are not projected.  While they still
+        # describe the live graph (no mutation since the last CSR
+        # build), a mask-sized projection seeds its mask view straight
+        # from the members' CSR slices and leaves its dict adjacency
+        # unbuilt; otherwise the parent adjacency is filtered.
         dup._codec = None
         dup._kernel = None
         dup._mask_cache = None
+        kern = self._kernel_view()
+        if (
+            kern is not None
+            and not kern.patched
+            and len(dup._live) <= _kernel.MAX_BITMASK_VERTICES
+        ):
+            members = list(dup._live)
+            masks = _kernel.csr_masks(kern, members)
+            dup._mask_cache = (members, list(dup._live.values()), masks)
+            dup._adj = None
+            dup._num_edges = sum(map(int.bit_count, masks)) // 2
+        else:
+            num_edges = 0
+            adj: Dict[TupleId, Set[TupleId]] = {}
+            parent_adj = self._adjacency()
+            for tid in dup._live:
+                nbrs = parent_adj.get(tid, _NO_NEIGHBORS) & ids
+                if nbrs:
+                    adj[tid] = nbrs
+                    num_edges += len(nbrs)
+            dup._adj = adj
+            dup._num_edges = num_edges // 2
         dup._buckets = None
         dup._lazy_bucket_table = subtable
         subtable._cache.setdefault(("conflict_index", self.fds), dup)
@@ -582,14 +656,18 @@ class ConflictIndex:
         if cached is not None:
             return cached
         members = list(self._live)
-        position = {tid: i for i, tid in enumerate(members)}
         adjacency = self._adj
-        masks = [0] * len(members)
-        for i, tid in enumerate(members):
-            mask = 0
-            for other in adjacency.get(tid, _NO_NEIGHBORS):
-                mask |= 1 << position[other]
-            masks[i] = mask
+        if adjacency is None:
+            # A never-mutated kernel build: the CSR is the live graph.
+            masks = _kernel.csr_masks(self._kernel, members)
+        else:
+            position = {tid: i for i, tid in enumerate(members)}
+            masks = [0] * len(members)
+            for i, tid in enumerate(members):
+                mask = 0
+                for other in adjacency.get(tid, _NO_NEIGHBORS):
+                    mask |= 1 << position[other]
+                masks[i] = mask
         weights = [self._live[tid] for tid in members]
         view = (members, weights, masks)
         # Cached until the next mutation: assessment + exact solving of
@@ -743,6 +821,7 @@ class ConflictIndex:
         array fast paths survive the mutation; the cached mask view is
         per-state and rebuilds on demand.
         """
+        adj = self._adjacency()  # derived while the pristine state lasts
         weight = self._live.pop(tid, None)
         if weight is None:
             raise KeyError(f"unknown or already-removed identifier {tid!r}")
@@ -751,7 +830,6 @@ class ConflictIndex:
             kern.apply_remove(self._codec.row_index[tid])
         self._mask_cache = None
         self._removed_weight += weight
-        adj = self._adj
         nbrs = adj.pop(tid, _NO_NEIGHBORS)
         self._num_edges -= len(nbrs)
         for other in nbrs:
@@ -799,6 +877,7 @@ class ConflictIndex:
         weight = float(weight)
         if weight <= 0:
             raise ValueError(f"tuple {tid!r} has non-positive weight {weight}")
+        adj = self._adjacency()  # derived while the pristine state lasts
         buckets_list = self._ensure_buckets()
         self._mask_cache = None
         codec = self._codec
@@ -825,7 +904,6 @@ class ConflictIndex:
         self._position[tid] = self._next_position
         self._next_position += 1
         nbrs: Set[TupleId] = set()
-        adj = self._adj
         new_edges = 0
         for buckets, (_fd, lhs_pos, rhs_pos) in zip(buckets_list, self._fd_specs):
             lhs_key = tuple(row[i] for i in lhs_pos)
@@ -903,7 +981,7 @@ class ConflictIndex:
         row_index = codec.row_index
         packed: List[int] = []
         append = packed.append
-        for tid, nbrs in self._adj.items():
+        for tid, nbrs in self._adjacency().items():
             u = row_index[tid]
             base = u * n
             for other in nbrs:
@@ -928,7 +1006,7 @@ class ConflictIndex:
         dup._position_shared = True
         self._position_shared = True
         dup._next_position = self._next_position
-        dup._adj = {tid: set(nbrs) for tid, nbrs in self._adj.items()}
+        dup._adj = {tid: set(nbrs) for tid, nbrs in self._adjacency().items()}
         dup._num_edges = self._num_edges
         dup._removed_weight = self._removed_weight
         dup._arity = self._arity

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .conflict_index import ConflictIndex
 from .fd import FDSet
@@ -149,7 +149,8 @@ class Decomposition:
     """A table split into conflict components plus its conflict-free rest.
 
     ``components`` are ordered by the table position of their earliest
-    member; ``consistent_ids`` are the tuples in no conflict at all.
+    member; the tuples in no conflict at all are the rest of ``table``
+    (``index.consistent_ids()`` lists them).
     Every merge helper reassembles results in canonical table order, so
     decomposed repairs are deterministic regardless of how (or where) the
     per-component solves ran.
@@ -159,7 +160,6 @@ class Decomposition:
     fds: FDSet
     index: ConflictIndex
     components: List[Component]
-    consistent_ids: Tuple[TupleId, ...]
 
     @property
     def component_count(self) -> int:
@@ -201,12 +201,20 @@ class Decomposition:
 
         *kept_per_component* holds, per component (in order), the
         identifiers the component repair kept.  Conflict-free tuples are
-        added verbatim; the result is a sub-table in table order.
+        kept verbatim; the result is a sub-table in table order, built as
+        a C-level copy of the table's row and weight maps minus the
+        deleted tuples — Python work scales with the conflicts only.
         """
-        kept: Set[TupleId] = set(self.consistent_ids)
-        for ids in kept_per_component:
-            kept.update(ids)
-        return self.table.subset(kept)
+        table = self.table
+        rows = dict(table._rows)
+        weights = dict(table._weights)
+        for component, kept in zip(self.components, kept_per_component, strict=True):
+            for tid in set(component.ids).difference(kept):
+                del rows[tid]
+                del weights[tid]
+        return Table._from_trusted(
+            table.schema, rows, weights, table.name, table._index
+        )
 
     def merge_updates(
         self, updates_per_component: Sequence[Mapping[Tuple[TupleId, str], object]]
@@ -251,7 +259,6 @@ def decompose(
         fds=fds,
         index=index,
         components=components,
-        consistent_ids=tuple(index.consistent_ids()),
     )
     table._cache[cache_key] = decomposition
     return decomposition

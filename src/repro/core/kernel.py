@@ -13,20 +13,29 @@ This module is the representation-level answer:
 
 * :class:`TableCodec` interns each column's values to dense integer
   codes (``code 0`` is the column's first-seen value, in table order)
-  and each tuple identifier to a dense row index.  Because codes are
-  assigned in first-seen order, every order-sensitive consumer
-  downstream — ``group_by`` insertion order, ``distinct_projection``,
-  the dichotomy recursion's block order — behaves identically on coded
+  and each tuple identifier to a dense row index, at C speed per
+  column.  Because codes are assigned in first-seen order, every
+  order-sensitive consumer downstream — ``group_by`` insertion order,
+  ``distinct_projection``, the dichotomy recursion's block order —
+  behaves identically on coded
   rows and on the original values: the coded table is FD-equivalent
   *and* iteration-equivalent.
 * :func:`build_conflict_edges` re-runs the per-FD hash grouping of the
   conflict-index build on the coded columns: grouping keys are single
   machine ints (mixed-radix combinations of column codes), so the
-  grouping loop allocates no tuples and hashes no strings.
+  grouping loop allocates no tuples and hashes no strings, and a
+  C-speed prefilter keeps every row outside a conflicting lhs group out
+  of it.
 * :class:`ConflictKernel` holds the resulting conflict graph as
   CSR-style flat adjacency arrays (``indptr`` / ``indices``) with
-  parallel weight and degree arrays — the substrate of the
-  ``components()`` and Bar-Yehuda–Even array fast paths.
+  parallel weight and degree arrays.  It is the conflict graph of a
+  fresh index: the components, consistent-tuple, Bar-Yehuda–Even,
+  greedy and maximalisation fast paths read it directly, component
+  projections take their neighbour bitmasks from its slices
+  (:func:`csr_masks`), and the owning index derives its dict-of-sets
+  adjacency from it only when a tuple-id reader or the first mutation
+  asks.  Python loops over it walk edges and conflicting rows; per-row
+  steps run at C speed.
 * :class:`BitsetVC` is a memoised multi-word bitset branch & bound for
   components of at most :data:`MAX_BITMASK_VERTICES` vertices: component
   vertices map to bits of one Python int, neighbour masks are
@@ -69,6 +78,9 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import Counter, defaultdict
+from itertools import accumulate, chain, compress, repeat
+from operator import add, floordiv, gt, itemgetter, mod, mul, ne
 from typing import (
     Dict,
     Iterable,
@@ -96,6 +108,7 @@ __all__ = [
     "bye_cover_masks",
     "components_csr",
     "components_csr_patched",
+    "csr_masks",
     "greedy_cover_csr",
     "greedy_cover_masks",
     "lp_half_integral_bound",
@@ -173,10 +186,13 @@ class TableCodec:
     def encode(cls, table: Table) -> "TableCodec":
         """Intern *table* into dense row indices and column codes.
 
-        Near-C-speed per column: ``dict.fromkeys`` dedups the column in
-        first-seen order (the code assignment the order-sensitivity
-        contract requires), and ``map(intern.__getitem__, …)`` codes the
-        whole column without a Python-level inner loop.
+        One C-speed pass per column: ``map(itemgetter(j), …)`` reads
+        the column (no per-row tuple or iterator allocation) and
+        ``map(intern.setdefault, column, map(len, repeat(intern)))``
+        codes it — a value's code is the intern map's size when the
+        value is first seen, so codes are dense and assigned in
+        first-seen order (the order-sensitivity contract), and each
+        value is hashed once.
         """
         schema = table.schema
         rows = table._rows
@@ -188,16 +204,16 @@ class TableCodec:
         interns: List[Dict[Value, int]] = []
         decoders: List[List[Value]] = []
         columns: List[List[int]] = []
-        for column_values in zip(*rows.values()):
-            intern = {v: i for i, v in enumerate(dict.fromkeys(column_values))}
+        for j in range(len(schema)):
+            intern: Dict[Value, int] = {}
+            columns.append(list(map(
+                intern.setdefault,
+                map(itemgetter(j), rows.values()),
+                map(len, repeat(intern)),
+            )))
             interns.append(intern)
             decoders.append(list(intern))
-            columns.append(list(map(intern.__getitem__, column_values)))
-        if not rows:  # zip(*()) yields nothing: still shape the columns
-            interns = [{} for _ in schema]
-            decoders = [[] for _ in schema]
-            columns = [[] for _ in schema]
-        row_index = {tid: i for i, tid in enumerate(ids)}
+        row_index = dict(zip(ids, range(len(ids))))
         return cls(schema, ids, row_index, columns, decoders, weights, interns)
 
     def __len__(self) -> int:
@@ -250,11 +266,10 @@ class TableCodec:
         first = self.columns[positions[0]]
         if len(positions) == 1:
             return first  # shared read-only: callers never mutate keys
-        keys = list(first)
+        keys = first
         for p in positions[1:]:
-            column = self.columns[p]
             base = len(self.decoders[p])
-            keys = [k * base + c for k, c in zip(keys, column)]
+            keys = list(map(add, map(mul, keys, repeat(base)), self.columns[p]))
         return keys
 
 
@@ -273,28 +288,40 @@ def build_conflict_edges(
     deduplicated across FDs and returned as ``u * n + v`` with
     ``u < v`` row indices — sorted, which is exactly canonical
     ``(position(u), position(v))`` order.
-    """
-    from collections import defaultdict
 
+    The conflicting lhs groups are found before any Python loop runs: a
+    group has two distinct rhs keys exactly when some row's rhs key
+    differs from the one its group's last row carries, and
+    ``dict(zip(lhs, rhs))`` (last write wins) plus one ``map(ne, …)``
+    finds those rows at C speed.  Only the conflicting groups' rows
+    (picked out by ``itertools.compress``) enter the grouping loop, so
+    an FD no row violates costs no per-row Python work at all.
+
+    One FD never yields a pair twice (its two rows sit in one lhs group,
+    in two distinct rhs parts), so the edges of a single violated FD are
+    sorted as a plain list; only several violated FDs pay for a
+    deduplicating set.
+    """
     n = len(codec.ids)
-    edge_set: Set[int] = set()
-    add_edge = edge_set.add
+    per_fd: List[List[int]] = []
     for _fd, lhs_pos, rhs_pos in fd_specs:
         keys = codec.combined_codes(lhs_pos)
+        rhs = codec.combined_codes(rhs_pos)
+        last_rhs = dict(zip(keys, rhs))
+        conflicting = set(
+            compress(keys, map(ne, rhs, map(last_rhs.__getitem__, keys)))
+        )
+        if not conflicting:
+            continue
         groups: Dict[int, List[int]] = defaultdict(list)
-        for i, key in enumerate(keys):
-            groups[key].append(i)
-        rhs: Optional[List[int]] = None
+        for i in compress(range(n), map(conflicting.__contains__, keys)):
+            groups[keys[i]].append(i)
+        edges: List[int] = []
+        add_edge = edges.append
         for members in groups.values():
-            if len(members) < 2:
-                continue
-            if rhs is None:
-                rhs = codec.combined_codes(rhs_pos)
             parts: Dict[int, List[int]] = defaultdict(list)
             for i in members:
                 parts[rhs[i]].append(i)
-            if len(parts) < 2:
-                continue
             part_list = list(parts.values())
             for a in range(len(part_list) - 1):
                 part_a = part_list[a]
@@ -302,7 +329,12 @@ def build_conflict_edges(
                     for u in part_a:
                         for v in part_list[b]:
                             add_edge(u * n + v if u < v else v * n + u)
-    return sorted(edge_set)
+        per_fd.append(edges)
+    if len(per_fd) == 1:
+        edges = per_fd[0]
+        edges.sort()
+        return edges
+    return sorted(set(chain.from_iterable(per_fd)))
 
 
 class ConflictKernel:
@@ -348,18 +380,14 @@ class ConflictKernel:
         self.codec = codec
         n = len(codec.ids)
         m = len(packed_edges)
-        edges_u = [0] * m
-        edges_v = [0] * m
+        # Per-row arrays at C speed; the Python loops below walk edges
+        # and conflicting rows only.
+        edges_u = list(map(floordiv, packed_edges, repeat(n)))
+        edges_v = list(map(mod, packed_edges, repeat(n)))
         degree = [0] * n
-        for e, code in enumerate(packed_edges):
-            u, v = divmod(code, n)
-            edges_u[e] = u
-            edges_v[e] = v
-            degree[u] += 1
-            degree[v] += 1
-        indptr = [0] * (n + 1)
-        for i in range(n):
-            indptr[i + 1] = indptr[i] + degree[i]
+        for r, d in Counter(chain(edges_u, edges_v)).items():
+            degree[r] = d
+        indptr = list(accumulate(degree, initial=0))
         fill = list(indptr)
         indices = [0] * (2 * m)
         for u, v in zip(edges_u, edges_v):
@@ -376,7 +404,7 @@ class ConflictKernel:
         # component sweep needs to visit (typically a few % of |T|).
         # Valid while unpatched; afterwards the owning index supplies
         # live roots from its adjacency keys (its conflicting tuples).
-        self.conflicting_rows = [i for i, d in enumerate(degree) if d]
+        self.conflicting_rows = list(compress(range(n), degree))
         self.csr_rows = n
         self.extra_adj: Dict[int, List[int]] = {}
         self.patched = False
@@ -444,11 +472,12 @@ class ConflictKernel:
         """Every live conflict pair once, in canonical ascending row
         order — the patched-view equivalent of ``zip(edges_u, edges_v)``.
         """
-        alive = self.alive
-        for u in range(len(alive)):
-            if alive[u] and self.degree[u]:
-                for v in self.forward_live_neighbors(u):
-                    yield u, v
+        degree = self.degree
+        # Dead rows carry degree 0, so the live-degree rows are the only
+        # roots — picked out at C speed, ascending.
+        for u in compress(range(len(degree)), degree):
+            for v in self.forward_live_neighbors(u):
+                yield u, v
 
     def apply_remove(self, row: int) -> None:
         """Tombstone *row*: O(recorded degree) flag-and-decrement."""
@@ -504,6 +533,25 @@ class ConflictKernel:
         delta, and the rebuild resets the churn counters)."""
         churn = self.removed_count + self.appended_count
         return churn > 64 and 2 * churn > self.live_count
+
+
+def csr_masks(kernel: ConflictKernel, members: Sequence[TupleId]) -> List[int]:
+    """Neighbour bitmasks of the tuples *members* over an **unpatched**
+    view: bit *i* stands for ``members[i]``, and neighbours outside
+    *members* are dropped.
+
+    The mask view of a pristine index or projection, read straight from
+    the CSR slices (one C-level ``sum`` of bit values per row — the bits
+    are distinct, so the sum is their union).
+    """
+    rows = list(map(kernel.codec.row_index.__getitem__, members))
+    indptr = kernel.indptr
+    indices = kernel.indices
+    bit = {r: 1 << i for i, r in enumerate(rows)}.get
+    zeros = repeat(0)
+    return [
+        sum(map(bit, indices[indptr[r]:indptr[r + 1]], zeros)) for r in rows
+    ]
 
 
 def components_csr(kernel: ConflictKernel) -> List[List[int]]:
@@ -1066,17 +1114,12 @@ def greedy_cover_csr(kern: ConflictKernel) -> Set[int]:
     edges = kern.live_edges
     # The reference's tie-break triple is (weight/degree, str(id), live
     # rank); the row index is strictly monotone in live rank, so using
-    # it as the third key yields the identical relative order — and an
-    # unpatched view can seed the heap from its conflicting-rows list
-    # alone (dead rows always carry degree 0, so the degree test is the
-    # only liveness check the patched scan needs).
-    rows = (
-        kern.conflicting_rows if not kern.patched else range(len(degree))
-    )
+    # it as the third key yields the identical relative order.  The heap
+    # seeds from the rows with live degree alone, picked out at C speed
+    # (dead rows always carry degree 0).
     heap: List[Tuple[float, str, int]] = [
-        (weights[r] / d, str(ids[r]), r)
-        for r in rows
-        if (d := degree[r]) > 0
+        (weights[r] / degree[r], str(ids[r]), r)
+        for r in compress(range(len(degree)), degree)
     ]
     heapq.heapify(heap)
     removed: Set[int] = set()
@@ -1171,9 +1214,11 @@ def mis_maximalize_csr(
     weights = kern.codec.weights
     alive = kern.alive
     result = set(independent)
-    candidates = [
-        r for r, tid in enumerate(ids) if alive[r] and tid not in result
-    ]
+    # Live rows outside the set, at C speed: alive (0/1) > in-set (bool)
+    # holds exactly for a live row whose id is not in the set.
+    candidates = list(
+        compress(range(len(alive)), map(gt, alive, map(result.__contains__, ids)))
+    )
     candidates.sort(key=lambda r: (-weights[r], str(ids[r])))
     indptr = kern.indptr
     indices = kern.indices

@@ -1156,17 +1156,17 @@ def _solve_s_kept(
 
         return opt_s_repair(fds, table).ids(), method
     if method == "exact":
-        from .core.exact import ExactBudgetExceeded, exact_s_repair
+        from .core.exact import ExactBudgetExceeded, exact_cover_of_index
 
         try:
-            kept = exact_s_repair(
-                table, fds, node_limit=node_limit, index=index,
-                exact_budget_s=budget_s,
-            ).ids()
+            cover = set(exact_cover_of_index(
+                index if index is not None else table.conflict_index(fds),
+                node_limit=node_limit, budget_s=budget_s,
+            ))
         except ExactBudgetExceeded:
             method = "approx"  # the escape hatch: fall through below
         else:
-            return kept, "exact"
+            return tuple(tid for tid in table.ids() if tid not in cover), "exact"
     if method == "approx":
         from .core.approx import approx_s_repair
 

@@ -633,7 +633,6 @@ class RepairSession:
             fds=self._fds,
             index=self._index,
             components=components,
-            consistent_ids=tuple(self._index.consistent_ids()),
         )
 
     def _component_key(

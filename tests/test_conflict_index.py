@@ -30,7 +30,7 @@ from repro.core.violations import (
     violating_pairs,
 )
 from repro.pipeline import assess, clean
-from repro.testing import random_small_table
+from repro.testing import ReferenceConflictIndex, random_small_table
 
 FD_SETS = [
     FDSet("A -> B"),
@@ -218,12 +218,49 @@ def test_insert_then_remove_is_identity(table, data):
     assert _observable_state(index) == before
 
 
+def _assert_matches_reference(index, reference, lazy=False):
+    """*index* answers every reader like the dict oracle *reference*.
+
+    The readers every unbuilt adjacency serves (mask view, edge count,
+    bounds) run first; with *lazy* the adjacency must still be unbuilt
+    after them.  The tuple-id readers, which derive it on a projection,
+    follow.
+    """
+    view = index._mask_view()
+    if view is not None:
+        members = list(reference.ids())
+        bit = {tid: 1 << i for i, tid in enumerate(members)}
+        assert view == (
+            members,
+            [reference.weight(t) for t in members],
+            [sum(bit[o] for o in reference.neighbors(t)) for t in members],
+        )
+    assert index.num_edges == reference.num_edges
+    assert index.matching_lower_bound() == reference.matching_lower_bound()
+    assert index.lp_lower_bound() == reference.lp_lower_bound()
+    if lazy:
+        assert index._adj is None
+    assert index.consistent_ids() == reference.consistent_ids()
+    assert index.conflicting_tuples() == reference.conflicting_tuples()
+    assert index.components() == reference.components()
+    assert index.edges() == reference.edges()
+    assert {t: index.neighbors(t) for t in index.ids()} == {
+        t: reference.neighbors(t) for t in reference.ids()
+    }
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_interleaved_inserts_deletes_match_rebuild(data):
     """Any interleaving of inserts and deletes yields an index observably
     equal to a from-scratch build on the corresponding table (deleted
-    tuples gone, inserted tuples appended at the end)."""
+    tuples gone, inserted tuples appended at the end).
+
+    Every adjacency state meets the dict oracle on the way: the rebuild
+    is pristine (adjacency unbuilt, answers from the CSR), the live
+    index derived its adjacency at its first mutation, and projections
+    of each are seeded from the pristine CSR or filtered from the
+    patched adjacency respectively."""
     fds = data.draw(st.sampled_from(FD_SETS))
     value = st.integers(min_value=0, max_value=2)
     row_st = st.tuples(value, value, value)
@@ -244,14 +281,23 @@ def test_interleaved_inserts_deletes_match_rebuild(data):
             live.insert(next_id, row, weight)
             shadow.append((next_id, row, weight))
             next_id += 1
-        rebuilt = ConflictIndex(
-            Table(
-                SCHEMA,
-                {tid: row for tid, row, _w in shadow},
-                {tid: w for tid, _r, w in shadow},
-            ),
-            fds,
+        shadow_table = Table(
+            SCHEMA,
+            {tid: row for tid, row, _w in shadow},
+            {tid: w for tid, _r, w in shadow},
         )
+        rebuilt = ConflictIndex(shadow_table, fds)
+        reference = ReferenceConflictIndex(shadow_table, fds)
+        for ids in reference.components():
+            sub = shadow_table.subset(ids)
+            ref_part = reference.project(sub, set(ids))
+            _assert_matches_reference(
+                rebuilt.project(sub, set(ids)), ref_part, lazy=True
+            )
+            _assert_matches_reference(live.project(sub, set(ids)), ref_part)
+        _assert_matches_reference(rebuilt, reference, lazy=True)
+        _assert_matches_reference(live, reference)
+        rebuilt = ConflictIndex(shadow_table, fds)
         assert _observable_state(live) == _observable_state(rebuilt)
         assert live.num_edges == rebuilt.num_edges
         assert live.components() == rebuilt.components()

@@ -46,7 +46,7 @@ class TestDecompose:
         decomp = decompose(table, HARD)
         assert decomp.component_count == 6
         assert decomp.largest_component == 8
-        seen = set(decomp.consistent_ids)
+        seen = set(decomp.index.consistent_ids())
         for component in decomp.components:
             assert not seen & set(component.ids)
             seen.update(component.ids)
@@ -63,14 +63,14 @@ class TestDecompose:
     def test_consistent_tuples_have_no_conflicts(self):
         table = clustered(seed=1)
         decomp = decompose(table, HARD)
-        for tid in decomp.consistent_ids:
+        for tid in decomp.index.consistent_ids():
             assert not decomp.index.neighbors(tid)
 
     def test_consistent_table_decomposes_to_nothing(self):
         table = Table.from_rows(("A", "B"), [("a", "b"), ("c", "d")])
         decomp = decompose(table, FDSet("A -> B"))
         assert decomp.component_count == 0
-        assert decomp.consistent_ids == table.ids()
+        assert tuple(decomp.index.consistent_ids()) == table.ids()
 
     def test_projected_subindex_equals_rebuild(self):
         table = clustered(seed=5)
@@ -93,6 +93,24 @@ class TestDecompose:
         decomp = decompose(table, HARD)
         merged = decomp.merge_kept([c.ids for c in decomp.components])
         assert merged.ids() == table.ids()
+
+    def test_clean_never_builds_dict_adjacency(self):
+        """Batch ``clean`` does no per-tuple dict work outside the
+        conflicts: the cached parent index answers from its CSR arrays
+        alone, and every exact component is solved from a mask view
+        seeded straight from the parent's CSR slices — no dict
+        adjacency is built anywhere along the way."""
+        from repro.pipeline import clean
+
+        table = clustered(n=600, clusters=10, cluster_size=12, seed=4)
+        result = clean(table, HARD)
+        assert result.method_counts == {"exact": 10}
+        assert table.cached_conflict_index(HARD)._adj is None
+        decomp = decompose(table, HARD)
+        assert decomp.component_count == 10
+        for component in decomp.components:
+            assert component.index._adj is None
+            assert component.index._mask_cache is not None
 
 
 class TestPortfolioPolicy:

@@ -239,19 +239,57 @@ def test_multiword_exact_cover_of_index_matches_reference(data):
 # 3. Kernel-built index ≡ dict-built index
 # ---------------------------------------------------------------------------
 
+#: FD sets for the build-equality property beyond :data:`FD_SETS`: the
+#: shapes the conflicting-group prefilter of ``build_conflict_edges``
+#: must get right — an empty lhs (one group holding every row) and
+#: multi-attribute lhs and rhs (mixed-radix combined keys).
+PREFILTER_FD_SETS = FD_SETS + (
+    FDSet("-> A"),
+    FDSet("A -> B C"),
+    FDSet("A B -> B C; -> C"),
+)
+
+
+def _prefilter_table(rng: random.Random, shape: str, size: int) -> Table:
+    """A random table, or one of the prefilter's edge cases: the empty
+    table, a one-row table, and a table no lhs group conflicts in
+    (exact duplicates of one row under distinct ids)."""
+    if shape == "empty":
+        return Table(SCHEMA, {})
+    if shape == "one-row":
+        return Table(SCHEMA, {"t0": ("v0", 7, "v1")})
+    if shape == "no-conflict":
+        return Table(SCHEMA, {f"t{i}": ("v0", 7, "v1") for i in range(size)})
+    return _random_table(rng, size, with_fresh=False)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_kernel_index_equals_dict_index(data):
     rng = random.Random(data.draw(st.integers(0, 10_000)))
-    fds = data.draw(st.sampled_from(FD_SETS))
-    table = _random_table(rng, data.draw(st.integers(0, 25)), with_fresh=False)
+    fds = data.draw(st.sampled_from(PREFILTER_FD_SETS))
+    shape = data.draw(
+        st.sampled_from(("random", "empty", "one-row", "no-conflict"))
+    )
+    table = _prefilter_table(rng, shape, data.draw(st.integers(0, 25)))
     kernel_index = ConflictIndex(table, fds)
     dict_index = ReferenceConflictIndex(table, fds)
+    # The packed edge list itself is byte-identical to the dict build's
+    # canonical edges (row index = table position).
+    codec = kernel_index._codec
+    n = len(codec.ids)
+    assert kernel.build_conflict_edges(codec, kernel_index._fd_specs) == [
+        codec.row_index[u] * n + codec.row_index[v]
+        for u, v in dict_index.edges()
+    ]
     assert kernel_index.num_edges == dict_index.num_edges
-    assert kernel_index.edges() == dict_index.edges()
+    # Readers that answer from the CSR leave the adjacency unbuilt…
     assert kernel_index.components() == dict_index.components()
     assert kernel_index.consistent_ids() == dict_index.consistent_ids()
     assert kernel_index.conflicting_tuples() == dict_index.conflicting_tuples()
+    assert kernel_index._adj is None
+    # …and the adjacency derived from it on first use is the reference's.
+    assert kernel_index.edges() == dict_index.edges()
     assert sorted(map(repr, kernel_index.violating_pairs())) == sorted(
         map(repr, dict_index.violating_pairs())
     )
@@ -274,29 +312,72 @@ def test_every_table_index_is_kernel_built(rows):
     assert table.conflict_index(FDSet("A -> B"))._kernel is not None
 
 
+#: The adjacency states an index can be in when a reader arrives: never
+#: built (answers come from the CSR), built by a tuple-id reader, or
+#: built by the first mutation (which also patches the CSR view).
+LAZY_STATES = ("pristine", "neighbors", "remove", "insert")
+
+
+def _enter_state(table: Table, index: ConflictIndex, state: str) -> Table:
+    """Drive *index* into adjacency *state*; return the table holding
+    exactly its live tuples, with the index re-anchored onto it."""
+    ids = table.ids()
+    if state == "neighbors" and ids:
+        index.neighbors(ids[0])
+    elif state == "remove" and ids:
+        index.remove(ids[0])
+        table = table.subset(ids[1:])
+        index.reanchor(table)
+    elif state == "insert":
+        row = ("v0", "v1", "v2")
+        index.insert("new", row, 2.0)
+        rows = table.rows()
+        weights = table.weights()
+        rows["new"] = row
+        weights["new"] = 2.0
+        table = Table(SCHEMA, rows, weights)
+        index.reanchor(table)
+    return table
+
+
+def _reference_mask_view(index):
+    """The mask view a kernel index must hold, from the dict adjacency."""
+    members = list(index.ids())
+    bit = {tid: 1 << i for i, tid in enumerate(members)}
+    masks = [sum(bit[other] for other in index.neighbors(t)) for t in members]
+    return members, [index.weight(t) for t in members], masks
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_fast_paths_equal_reference_on_csr_and_mask_views(data):
     """Every array fast path — BYE, greedy, maximalisation, components,
     the matching and LP bounds, and the bitset exact cover — answers
     exactly like its reference loop, on the full index (CSR view) and on
-    each component projection (mask view)."""
+    each component projection (mask view), in every adjacency state
+    (:data:`LAZY_STATES`): a pristine parent's projections are seeded
+    from its CSR, a patched parent's filter its adjacency."""
     from repro.core.approx import greedy_s_repair
     from repro.core.decompose import decompose
 
     rng = random.Random(data.draw(st.integers(0, 10_000)))
     fds = data.draw(st.sampled_from(FD_SETS))
+    state = data.draw(st.sampled_from(LAZY_STATES))
     table = _random_table(rng, data.draw(st.integers(0, 30)), with_fresh=False)
     ref_table = Table(SCHEMA, table.rows(), table.weights())
     fast = ConflictIndex(table, fds)
     ref = ReferenceConflictIndex(ref_table, fds)
+    table = _enter_state(table, fast, state)
+    ref_table = _enter_state(ref_table, ref, state)
     assert fast._kernel is not None
     views = [(table, fast, ref_table, ref)]
     fast_parts = decompose(table, fds, index=fast).components
     ref_parts = decompose(ref_table, fds, index=ref).components
     assert len(fast_parts) == len(ref_parts)
+    seeded = not fast._kernel.patched
     for fast_part, ref_part in zip(fast_parts, ref_parts):
         assert fast_part.index._kernel is None
+        assert (fast_part.index._adj is None) == seeded
         assert fast_part.index._mask_view() is not None
         assert isinstance(ref_part.index, ReferenceConflictIndex)
         views.append(
@@ -304,6 +385,11 @@ def test_fast_paths_equal_reference_on_csr_and_mask_views(data):
         )
     for fast_table, f, ref_table, r in views:
         assert r._mask_view() is None
+        view = f._mask_view()
+        if view is not None:
+            assert view == _reference_mask_view(r)
+        assert f.consistent_ids() == r.consistent_ids()
+        assert f.conflicting_tuples() == r.conflicting_tuples()
         assert f.components() == r.components()
         cover = bar_yehuda_even(f)
         assert cover == bar_yehuda_even(r)
@@ -318,6 +404,12 @@ def test_fast_paths_equal_reference_on_csr_and_mask_views(data):
         assert f.matching_lower_bound() == r.matching_lower_bound()
         assert f.lp_lower_bound() == r.lp_lower_bound()
         assert exact_cover_of_index(f) == exact_cover_of_index(r)
+        if f is fast and state == "pristine":
+            assert f._adj is None  # every reader above ran on the CSR
+        assert f.edges() == r.edges()
+        assert {t: f.neighbors(t) for t in f.ids()} == {
+            t: r.neighbors(t) for t in r.ids()
+        }
 
 
 def test_csr_arrays_shape_and_degree():
