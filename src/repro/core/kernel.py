@@ -1051,17 +1051,23 @@ class BitsetVC:
         # stack, so give the search headroom for its duration — and
         # restore the caller's limit on the way out, success or raise:
         # a library call must not leave a process-global widened.
-        if n > MAX_BITMASK_VERTICES // 4:
-            import sys
+        try:
+            if n > MAX_BITMASK_VERTICES // 4:
+                import sys
 
-            previous_limit = sys.getrecursionlimit()
-            sys.setrecursionlimit(max(previous_limit, 4096))
-            try:
+                previous_limit = sys.getrecursionlimit()
+                sys.setrecursionlimit(max(previous_limit, 4096))
+                try:
+                    solve(full, 0, 0.0)
+                finally:
+                    sys.setrecursionlimit(previous_limit)
+            else:
                 solve(full, 0, 0.0)
-            finally:
-                sys.setrecursionlimit(previous_limit)
-        else:
-            solve(full, 0, 0.0)
+        finally:
+            # The recursive closure reaches itself through its own cell;
+            # clearing the cell frees the search state by refcount
+            # instead of leaving one garbage cycle per solve for the GC.
+            del solve
         return best_cover
 
 
